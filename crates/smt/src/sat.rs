@@ -134,6 +134,136 @@ impl SatStats {
 
 const UNDEF: i8 = 0;
 
+/// The value of `l` under `assigns`: 1 true, -1 false, [`UNDEF`] unset.
+fn lit_value(assigns: &[i8], l: Lit) -> i8 {
+    let a = assigns[l.var() as usize];
+    if l.is_positive() {
+        a
+    } else {
+        -a
+    }
+}
+
+/// `VarOrder::pos` entry of a variable outside the heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// The decision order: an indexed binary max-heap of variables keyed by
+/// (activity descending, index ascending) — the MiniSat order heap (Eén
+/// & Sörensson, SAT 2003). The index tie-break makes the order total, so
+/// the top is unique whatever the heap's shape.
+///
+/// Invariant kept by [`SatSolver`]: every unassigned variable is in the
+/// heap. Assigned variables may linger until popped by
+/// [`SatSolver::decide`] and are re-inserted when backtracking frees them.
+#[derive(Debug, Default)]
+struct VarOrder {
+    heap: Vec<BVar>,
+    /// Heap slot of each variable, or [`NOT_IN_HEAP`].
+    pos: Vec<u32>,
+}
+
+impl VarOrder {
+    fn before(activity: &[f64], a: BVar, b: BVar) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    /// Registers one more variable (outside the heap).
+    fn grow(&mut self) {
+        self.pos.push(NOT_IN_HEAP);
+    }
+
+    fn insert(&mut self, v: BVar, activity: &[f64]) {
+        if self.pos[v as usize] != NOT_IN_HEAP {
+            return;
+        }
+        self.pos[v as usize] = self.heap.len() as u32;
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// Restores the heap after `v`'s activity grew.
+    fn increased(&mut self, v: BVar, activity: &[f64]) {
+        let i = self.pos[v as usize];
+        if i != NOT_IN_HEAP {
+            self.sift_up(i as usize, activity);
+        }
+    }
+
+    /// Removes and returns the top variable.
+    fn pop(&mut self, activity: &[f64]) -> Option<BVar> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("heap non-empty");
+        self.pos[top as usize] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Forgets the variables `nvars..` (freed by a pop).
+    fn truncate(&mut self, nvars: usize, activity: &[f64]) {
+        self.pos.truncate(nvars);
+        self.heap.retain(|&v| (v as usize) < nvars);
+        self.rebuild(activity);
+    }
+
+    /// Re-heapifies the current members from scratch.
+    fn rebuild(&mut self, activity: &[f64]) {
+        for (i, &v) in self.heap.iter().enumerate() {
+            self.pos[v as usize] = i as u32;
+        }
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !Self::before(activity, v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !Self::before(activity, c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+}
+
 /// A restorable mark of a [`SatSolver`]'s root-level state: the variable
 /// and clause counts, the length of the level-0 trail prefix, and the
 /// ok flag. Created by [`SatSolver::mark`], consumed (possibly many
@@ -159,7 +289,11 @@ pub struct SatSolver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
+    order: VarOrder,
     phase: Vec<bool>,
+    /// Scratch marks for [`SatSolver::analyze`]; all `false` between
+    /// calls.
+    seen: Vec<bool>,
     ok: bool,
     /// Maximum conflicts before giving up (`None` = unlimited).
     pub max_conflicts: Option<u64>,
@@ -189,19 +323,17 @@ impl SatSolver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
+        self.order.grow();
+        self.order.insert(v, &self.activity);
         self.phase.push(false);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         v
     }
 
     fn value_lit(&self, l: Lit) -> i8 {
-        let a = self.assigns[l.var() as usize];
-        if l.is_positive() {
-            a
-        } else {
-            -a
-        }
+        lit_value(&self.assigns, l)
     }
 
     fn decision_level(&self) -> u32 {
@@ -269,17 +401,21 @@ impl SatSolver {
     }
 
     /// Unit propagation; returns the index of a conflicting clause, if any.
+    ///
+    /// Each watch list is compacted in place (MiniSat's `i`/`j` scheme):
+    /// `i` reads, `j` writes back the clauses that keep this watch.
     fn propagate(&mut self) -> Option<u32> {
-        while self.qhead < self.trail.len() {
+        let mut conflict = None;
+        while conflict.is_none() && self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = p.negated();
-            let watchers = std::mem::take(&mut self.watches[false_lit.index()]);
-            let mut kept = Vec::with_capacity(watchers.len());
-            let mut conflict = None;
-            let mut it = watchers.into_iter();
-            for ci in it.by_ref() {
+            let mut ws = std::mem::take(&mut self.watches[false_lit.index()]);
+            let (mut i, mut j) = (0, 0);
+            while i < ws.len() {
+                let ci = ws[i];
+                i += 1;
                 let clause = &mut self.clauses[ci as usize];
                 // Normalize: the falsified literal goes to position 1.
                 if clause[0] == false_lit {
@@ -288,53 +424,39 @@ impl SatSolver {
                 debug_assert_eq!(clause[1], false_lit);
                 // Satisfied by the other watch?
                 let first = clause[0];
-                if self.assigns[first.var() as usize] != UNDEF
-                    && (self.assigns[first.var() as usize] == 1) == first.is_positive()
-                {
-                    kept.push(ci);
+                let first_value = lit_value(&self.assigns, first);
+                if first_value == 1 {
+                    ws[j] = ci;
+                    j += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                let mut moved = false;
-                for k in 2..clause.len() {
+                if let Some(k) =
+                    (2..clause.len()).find(|&k| lit_value(&self.assigns, clause[k]) != -1)
+                {
                     let cand = clause[k];
-                    let val = {
-                        let a = self.assigns[cand.var() as usize];
-                        if cand.is_positive() {
-                            a
-                        } else {
-                            -a
-                        }
-                    };
-                    if val != -1 {
-                        clause.swap(1, k);
-                        self.watches[cand.index()].push(ci);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                    clause.swap(1, k);
+                    self.watches[cand.index()].push(ci);
                     continue;
                 }
-                kept.push(ci);
+                ws[j] = ci;
+                j += 1;
                 // Unit or conflict.
-                match self.value_lit(first) {
-                    -1 => {
-                        conflict = Some(ci);
-                        break;
-                    }
-                    UNDEF => self.enqueue(first, Some(ci)),
-                    _ => {}
+                if first_value == -1 {
+                    conflict = Some(ci);
+                    ws.copy_within(i.., j);
+                    j += ws.len() - i;
+                    break;
                 }
+                self.enqueue(first, Some(ci));
             }
-            kept.extend(it);
-            self.watches[false_lit.index()] = kept;
-            if let Some(ci) = conflict {
-                self.qhead = self.trail.len();
-                return Some(ci);
-            }
+            ws.truncate(j);
+            self.watches[false_lit.index()] = ws;
         }
-        None
+        if conflict.is_some() {
+            self.qhead = self.trail.len();
+        }
+        conflict
     }
 
     fn bump(&mut self, v: BVar) {
@@ -344,28 +466,33 @@ impl SatSolver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Rescaling may round distinct activities to ties, which the
+            // index tie-break then orders differently.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(v, &self.activity);
         }
     }
 
     /// First-UIP conflict analysis.
     fn analyze(&mut self, confl: u32) -> (Vec<Lit>, u32) {
-        let mut seen = vec![false; self.num_vars()];
-        let mut learnt: Vec<Lit> = Vec::new();
+        // Slot 0 is reserved for the asserting literal.
+        let mut learnt: Vec<Lit> = vec![Lit(0)];
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let mut confl = Some(confl);
         let current = self.decision_level();
         loop {
-            let ci = confl.expect("reason must exist on the conflict path");
-            let clause = self.clauses[ci as usize].clone();
-            for &q in &clause {
+            let ci = confl.expect("reason must exist on the conflict path") as usize;
+            for k in 0..self.clauses[ci].len() {
+                let q = self.clauses[ci][k];
                 if Some(q) == p {
                     continue;
                 }
                 let v = q.var() as usize;
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
                     self.bump(q.var());
                     if self.level[v] >= current {
                         path_count += 1;
@@ -376,19 +503,24 @@ impl SatSolver {
             }
             loop {
                 index -= 1;
-                if seen[self.trail[index].var() as usize] {
+                if self.seen[self.trail[index].var() as usize] {
                     break;
                 }
             }
             let pl = self.trail[index];
-            seen[pl.var() as usize] = false;
+            self.seen[pl.var() as usize] = false;
             path_count -= 1;
             if path_count == 0 {
-                learnt.insert(0, pl.negated());
+                learnt[0] = pl.negated();
                 break;
             }
             confl = self.reason[pl.var() as usize];
             p = Some(pl);
+        }
+        // Every current-level mark was cleared on the trail walk; clear
+        // the lower-level ones, which are exactly the learnt tail.
+        for l in &learnt[1..] {
+            self.seen[l.var() as usize] = false;
         }
         let backjump = learnt[1..]
             .iter()
@@ -443,6 +575,7 @@ impl SatSolver {
             let v = l.var() as usize;
             self.assigns[v] = UNDEF;
             self.reason[v] = None;
+            self.order.insert(l.var(), &self.activity);
         }
         self.qhead = self.trail.len();
         self.clauses.truncate(mark.nclauses);
@@ -450,7 +583,9 @@ impl SatSolver {
         self.level.truncate(mark.nvars);
         self.reason.truncate(mark.nvars);
         self.activity.truncate(mark.nvars);
+        self.order.truncate(mark.nvars, &self.activity);
         self.phase.truncate(mark.nvars);
+        self.seen.truncate(mark.nvars);
         self.watches.truncate(mark.nvars * 2);
         for w in &mut self.watches {
             w.retain(|&ci| (ci as usize) < mark.nclauses);
@@ -466,35 +601,28 @@ impl SatSolver {
                 let v = l.var() as usize;
                 self.assigns[v] = UNDEF;
                 self.reason[v] = None;
+                self.order.insert(l.var(), &self.activity);
             }
         }
-        self.qhead = self.trail.len().min(self.qhead);
         self.qhead = self.trail.len();
     }
 
+    /// Decides the unassigned variable of highest activity (lowest index
+    /// among equals) at its saved phase. Returns `false` when every
+    /// variable is assigned.
     fn decide(&mut self) -> bool {
-        let mut best: Option<BVar> = None;
-        for v in 0..self.num_vars() {
-            if self.assigns[v] == UNDEF {
-                match best {
-                    None => best = Some(v as BVar),
-                    Some(b) if self.activity[v] > self.activity[b as usize] => {
-                        best = Some(v as BVar)
-                    }
-                    _ => {}
-                }
-            }
-        }
-        match best {
-            None => false,
-            Some(v) => {
+        // The heap holds every unassigned variable, plus assigned ones
+        // not yet popped; discard those on the way to the top.
+        while let Some(v) = self.order.pop(&self.activity) {
+            if self.assigns[v as usize] == UNDEF {
                 self.stats.decisions += 1;
                 self.lim.push(self.trail.len());
                 let lit = Lit::new(v, self.phase[v as usize]);
                 self.enqueue(lit, None);
-                true
+                return true;
             }
         }
+        false
     }
 
     fn record_learnt(&mut self, learnt: Vec<Lit>) -> bool {
@@ -549,8 +677,8 @@ impl SatSolver {
             } else if self.trail.len() == self.num_vars() {
                 // Complete assignment: consult the theory.
                 self.stats.theory_checks += 1;
-                let assigns = self.assigns.clone();
-                let value = move |v: BVar| assigns[v as usize] == 1;
+                let assigns = &self.assigns;
+                let value = |v: BVar| assigns[v as usize] == 1;
                 match theory.final_check(&value) {
                     TheoryVerdict::Consistent => {
                         return SatOutcome::Sat(self.assigns.iter().map(|&a| a == 1).collect());
@@ -796,5 +924,55 @@ mod tests {
         assert_eq!(s.clauses.len(), base_clauses);
         assert!(s.ok, "pop restores the ok flag");
         assert!(matches!(s.solve(), SatOutcome::Sat(_)));
+    }
+
+    #[test]
+    fn heap_breaks_equal_activity_toward_lowest_index() {
+        let mut order = VarOrder::default();
+        let activity = [1.0, 3.0, 3.0, 0.5, 3.0, 1.0];
+        for _ in &activity {
+            order.grow();
+        }
+        for v in [5, 3, 4, 0, 2, 1] {
+            order.insert(v, &activity);
+        }
+        let popped: Vec<BVar> = std::iter::from_fn(|| order.pop(&activity)).collect();
+        assert_eq!(popped, vec![1, 2, 4, 0, 5, 3]);
+
+        // Through the solver: equal bumps on b3 and b1 decide b1 first.
+        let mut s = solver_with_vars(4);
+        s.bump(3);
+        s.bump(1);
+        assert!(s.decide());
+        assert_eq!(s.trail, vec![lit(1, false)]);
+        assert!(s.decide());
+        assert_eq!(s.trail[1], lit(3, false));
+    }
+
+    #[test]
+    fn freed_variables_are_never_decided_after_pop() {
+        let mut s = solver_with_vars(2);
+        let mark = s.mark();
+        let fresh: Vec<BVar> = (0..3).map(|_| s.new_var()).collect();
+        // Put the soon-freed variables at the top of the order, and some
+        // on the root trail.
+        for &v in &fresh {
+            for _ in 0..4 {
+                s.bump(v);
+            }
+        }
+        s.add_clause(vec![lit(fresh[0], true)]);
+        s.pop_to(mark);
+        let mut decided = Vec::new();
+        while s.decide() {
+            decided.push(s.trail.last().expect("just decided").var());
+        }
+        decided.sort_unstable();
+        assert_eq!(decided, vec![0, 1]);
+        s.reset_to_root();
+        match s.solve() {
+            SatOutcome::Sat(m) => assert_eq!(m.len(), 2),
+            other => panic!("expected sat, got {other:?}"),
+        }
     }
 }
