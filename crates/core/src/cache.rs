@@ -49,7 +49,7 @@
 //! A dependency-free, append-friendly JSON-lines log:
 //!
 //! ```json
-//! {"format":1,"fingerprint":"format=1;encoder=2;solver=2;conflicts=200000;branch=20000"}
+//! {"format":1,"fingerprint":"format=1;encoder=2;solver=3;conflicts=200000;branch=20000"}
 //! {"goal":"(<= (v |x|) (v |x|))","verdict":"valid"}
 //! {"goal":"(>= (v |x|) 5)","verdict":"invalid","model":{"x":"0"}}
 //! {"goal":"...","verdict":"unknown","reason":"conflict budget exhausted"}
@@ -821,6 +821,34 @@ mod tests {
             "{}",
             loaded.warnings[0]
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn store_from_previous_solver_version_loads_cold_with_warning() {
+        let config = DischargeConfig::default();
+        let current = fingerprint(&config);
+        let solver = relaxed_smt::SOLVER_VERSION;
+        let old = current.replace(
+            &format!(";solver={solver};"),
+            &format!(";solver={};", solver - 1),
+        );
+        assert_ne!(
+            old, current,
+            "the fingerprint must carry the solver version"
+        );
+        let path = temp_file("old-solver");
+        let entries = sample_entries();
+        persist(&path, &old, entries.iter().map(|(k, v)| (k, v))).unwrap();
+        let loaded = load(&path, &current);
+        assert!(
+            loaded.entries.is_empty(),
+            "old-solver verdicts must not replay"
+        );
+        assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
+        assert!(loaded.warnings[0]
+            .to_string()
+            .contains("fingerprint mismatch"));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1024,7 +1024,10 @@ impl DischargeEngine {
         };
         // Attaches the solver-stats delta of one goal to its solve span.
         let span_stats = |span: &mut crate::telemetry::SpanGuard, stats: &SolverStats| {
+            span.arg("decisions", stats.sat.decisions);
+            span.arg("propagations", stats.sat.propagations);
             span.arg("conflicts", stats.sat.conflicts);
+            span.arg("theory_checks", stats.sat.theory_checks);
             span.arg("pivots", stats.pivots);
             span.arg("restarts", stats.sat.restarts);
         };

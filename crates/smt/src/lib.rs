@@ -9,8 +9,9 @@
 //! Coq. No external prover is available to this reproduction, so this
 //! crate implements the required fragment from scratch:
 //!
-//! * [`sat`] — a CDCL SAT solver (two-watched literals, VSIDS, 1UIP
-//!   learning, restarts) that accepts a pluggable theory;
+//! * [`sat`] — a CDCL SAT solver (two-watched literals, heap-ordered
+//!   VSIDS, 1UIP learning, restarts) that accepts a pluggable theory and
+//!   backjumps on its conflict clauses;
 //! * [`simplex`] — a Dutertre–de Moura general simplex over exact
 //!   rationals ([`rational`]) with branch-and-bound integrality;
 //! * [`preprocess`] — NNF, the one-point rule, *exact* quantifier

@@ -1,10 +1,16 @@
-//! A CDCL SAT solver with two-watched-literal propagation, VSIDS-style
-//! activity decisions, first-UIP clause learning, phase saving, and
-//! geometric restarts.
+//! A CDCL SAT solver with two-watched-literal propagation, VSIDS
+//! decisions taken from an activity-ordered variable heap (MiniSat's
+//! order heap; Eén & Sörensson, SAT 2003), first-UIP clause learning,
+//! phase saving, and geometric restarts.
 //!
 //! The solver doubles as the propositional engine of the DPLL(T) driver in
 //! [`crate::solver`]: a [`Theory`] hook is consulted whenever a full
-//! assignment is found and may veto it with a conflict clause.
+//! assignment is found and may veto it with a conflict clause. A theory
+//! conflict is handled like a Boolean one: the search backtracks to the
+//! clause's highest decision level, learns its first-UIP clause and
+//! backjumps, keeping the rest of the assignment (Dutertre & de Moura,
+//! CAV 2006). Theory conflicts do not count toward
+//! [`SatSolver::max_conflicts`].
 
 use std::fmt;
 
@@ -648,6 +654,53 @@ impl SatSolver {
         }
     }
 
+    /// Learns the first-UIP clause of the conflicting clause `ci` and
+    /// backjumps to assert it. Returns `false` when the clause system
+    /// became unsatisfiable.
+    fn learn_from_conflict(&mut self, ci: u32) -> bool {
+        let (learnt, backjump) = self.analyze(ci);
+        self.backtrack_to(backjump);
+        self.var_inc *= 1.05;
+        self.record_learnt(learnt)
+    }
+
+    /// Handles a theory conflict clause, falsified by the current
+    /// complete assignment, as a Boolean conflict at the clause's highest
+    /// decision level (DPLL(T) conflict handling; Dutertre & de Moura,
+    /// CAV 2006): backtrack to that level, add the clause watching its
+    /// two highest-level literals, then learn and backjump. Returns
+    /// `false` when the clause system became unsatisfiable.
+    fn theory_conflict(&mut self, mut clause: Vec<Lit>) -> bool {
+        clause.sort_unstable();
+        clause.dedup();
+        debug_assert!(
+            clause.iter().all(|&l| self.value_lit(l) == -1),
+            "a theory conflict clause must be falsified by the assignment"
+        );
+        for slot in 0..clause.len().min(2) {
+            let top = (slot..clause.len())
+                .max_by_key(|&i| self.level[clause[i].var() as usize])
+                .expect("slot < clause.len()");
+            clause.swap(slot, top);
+        }
+        let top_level = clause.first().map_or(0, |l| self.level[l.var() as usize]);
+        if top_level == 0 {
+            self.ok = false;
+            return false;
+        }
+        if clause.len() == 1 {
+            self.backtrack_to(0);
+            self.enqueue(clause[0], None);
+            return true;
+        }
+        self.backtrack_to(top_level);
+        let idx = self.clauses.len() as u32;
+        self.watches[clause[0].index()].push(idx);
+        self.watches[clause[1].index()].push(idx);
+        self.clauses.push(clause);
+        self.learn_from_conflict(idx)
+    }
+
     /// Solves with a theory hook.
     pub fn solve_with(&mut self, theory: &mut dyn Theory) -> SatOutcome {
         if !self.ok {
@@ -668,10 +721,7 @@ impl SatSolver {
                     self.ok = false;
                     return SatOutcome::Unsat;
                 }
-                let (learnt, backjump) = self.analyze(ci);
-                self.backtrack_to(backjump);
-                self.var_inc *= 1.05;
-                if !self.record_learnt(learnt) {
+                if !self.learn_from_conflict(ci) {
                     return SatOutcome::Unsat;
                 }
             } else if self.trail.len() == self.num_vars() {
@@ -685,8 +735,7 @@ impl SatSolver {
                     }
                     TheoryVerdict::Unknown => return SatOutcome::Unknown,
                     TheoryVerdict::Conflict(clause) => {
-                        self.backtrack_to(0);
-                        if clause.is_empty() || !self.add_clause(clause) {
+                        if !self.theory_conflict(clause) {
                             return SatOutcome::Unsat;
                         }
                     }
@@ -866,6 +915,48 @@ mod tests {
         let mut s = solver_with_vars(2);
         let mut theory = RejectAll;
         assert_eq!(s.solve_with(&mut theory), SatOutcome::Unsat);
+    }
+
+    /// Forbids `b2` true with a one-literal clause, reported at the
+    /// deepest decision level.
+    struct ForbidB2;
+    impl Theory for ForbidB2 {
+        fn final_check(&mut self, value: &dyn Fn(BVar) -> bool) -> TheoryVerdict {
+            if value(2) {
+                TheoryVerdict::Conflict(vec![lit(2, false)])
+            } else {
+                TheoryVerdict::Consistent
+            }
+        }
+    }
+
+    #[test]
+    fn one_literal_theory_conflict_becomes_a_root_fact() {
+        let mut s = solver_with_vars(3);
+        // Decide every variable true: b2 is set at level 3.
+        s.phase = vec![true; 3];
+        match s.solve_with(&mut ForbidB2) {
+            SatOutcome::Sat(m) => assert_eq!(m, vec![true, true, false]),
+            other => panic!("expected sat, got {other:?}"),
+        }
+        assert_eq!(s.level[2], 0, "the unit theory clause holds at the root");
+        assert_eq!(s.stats.theory_checks, 2);
+        assert_eq!(s.stats.conflicts, 0, "theory conflicts are not budgeted");
+    }
+
+    /// Rejects each value of `b0` with a one-literal clause.
+    struct ForbidB0Either;
+    impl Theory for ForbidB0Either {
+        fn final_check(&mut self, value: &dyn Fn(BVar) -> bool) -> TheoryVerdict {
+            TheoryVerdict::Conflict(vec![lit(0, !value(0))])
+        }
+    }
+
+    #[test]
+    fn one_literal_theory_conflict_at_the_root_is_unsat() {
+        let mut s = solver_with_vars(2);
+        assert_eq!(s.solve_with(&mut ForbidB0Either), SatOutcome::Unsat);
+        assert_eq!(s.stats.theory_checks, 2);
     }
 
     #[test]

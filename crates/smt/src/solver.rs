@@ -23,7 +23,12 @@ use crate::cnf::CnfBuilder;
 /// Version 2: the incremental session core ([`Solver::session`]) — the
 /// one-shot pipeline now runs through a single-scope session, and the
 /// theory keeps a persistent simplex tableau across checks.
-pub const SOLVER_VERSION: u32 = 2;
+///
+/// Version 3: a theory conflict backjumps to the conflict clause's
+/// decision levels and learns its first-UIP clause instead of restarting
+/// from level 0, which changes the search order and so the countermodels
+/// reported for `Invalid` goals.
+pub const SOLVER_VERSION: u32 = 3;
 use crate::ground::groundify;
 use crate::linear::{BoundKind, IneqAtom, LinForm, VarId};
 use crate::preprocess::{eliminate_quantifiers, FreshNames};

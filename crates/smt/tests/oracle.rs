@@ -1,6 +1,7 @@
 //! Differential tests: the DPLL(T) pipeline against brute-force
 //! enumeration on random quantifier-free linear formulas, and the CDCL
-//! core against truth-table enumeration on random CNFs.
+//! core — alone and with a theory hook — against truth-table
+//! enumeration on random CNFs.
 //!
 //! These are the soundness anchors for the whole verification stack: if
 //! the solver ever disagrees with exhaustive enumeration on a bounded
@@ -8,7 +9,7 @@
 
 use relaxed_interp::rng::SplitMix64;
 use relaxed_smt::ast::{BTerm, ITerm, Rel};
-use relaxed_smt::sat::{Lit, SatOutcome, SatSolver};
+use relaxed_smt::sat::{BVar, Lit, SatOutcome, SatSolver, Theory, TheoryVerdict};
 use relaxed_smt::{SmtResult, Solver};
 
 const NAMES: &[&str] = &["x", "y", "z"];
@@ -240,4 +241,128 @@ fn cdcl_matches_truth_table_on_random_cnfs() {
             SatOutcome::Unknown => panic!("round {round}: unexpected unknown"),
         }
     }
+}
+
+/// A literal list as a pair of variable bitmasks (positive, negative).
+fn masks(lits: &[(u32, bool)]) -> (u32, u32) {
+    lits.iter().fold((0, 0), |(pos, neg), &(v, positive)| {
+        if positive {
+            (pos | 1 << v, neg)
+        } else {
+            (pos, neg | 1 << v)
+        }
+    })
+}
+
+/// A theory forbidding cubes (conjunctions of literals): a complete
+/// assignment satisfying one is rejected with the cube's negation. The
+/// cube's variables are typically set at different decision levels, so
+/// the conflict clauses exercise backjumping from a theory conflict.
+struct ForbiddenCubes {
+    cubes: Vec<Vec<(u32, bool)>>,
+}
+
+impl Theory for ForbiddenCubes {
+    fn final_check(&mut self, value: &dyn Fn(BVar) -> bool) -> TheoryVerdict {
+        for cube in &self.cubes {
+            if cube.iter().all(|&(v, positive)| value(v) == positive) {
+                return TheoryVerdict::Conflict(
+                    cube.iter()
+                        .map(|&(v, positive)| Lit::new(v, !positive))
+                        .collect(),
+                );
+            }
+        }
+        TheoryVerdict::Consistent
+    }
+}
+
+/// Random CNFs plus a random cube-forbidding theory against the truth
+/// table of "every clause holds and no cube does".
+#[test]
+fn cdcl_with_theory_matches_truth_table() {
+    let mut rng = SplitMix64::seed_from_u64(0x7EA0_0001);
+    let gen_lits = |rng: &mut SplitMix64, nvars: u32, len: usize| -> Vec<(u32, bool)> {
+        (0..len)
+            .map(|_| (rng.gen_u32_below(nvars), rng.gen_u32_below(2) == 0))
+            .collect()
+    };
+    let (mut sat_rounds, mut unsat_rounds, mut theory_conflicts) = (0, 0, 0);
+    for round in 0..240 {
+        let nvars = 8 + (round % 7) as u32; // 8..=14 variables
+        let nclauses = nvars as usize + rng.gen_u32_below(2 * nvars) as usize;
+        let clauses: Vec<Vec<(u32, bool)>> = (0..nclauses)
+            .map(|_| {
+                let len = 2 + rng.gen_u32_below(3) as usize;
+                gen_lits(&mut rng, nvars, len)
+            })
+            .collect();
+        let ncubes = 4 + rng.gen_u32_below(24) as usize;
+        let cubes: Vec<Vec<(u32, bool)>> = (0..ncubes)
+            .map(|_| {
+                // Mostly 2–4 literals; one-literal cubes now and then.
+                let len = match rng.gen_u32_below(10) {
+                    0 => 1,
+                    n => 2 + (n % 3) as usize,
+                };
+                gen_lits(&mut rng, nvars, len)
+            })
+            .collect();
+
+        // Truth table.
+        let clause_masks: Vec<(u32, u32)> = clauses.iter().map(|c| masks(c)).collect();
+        let cube_masks: Vec<(u32, u32)> = cubes.iter().map(|c| masks(c)).collect();
+        let allowed = |bits: u32| {
+            clause_masks
+                .iter()
+                .all(|&(pos, neg)| bits & pos != 0 || !bits & neg != 0)
+                && !cube_masks
+                    .iter()
+                    .any(|&(pos, neg)| bits & pos == pos && !bits & neg == neg)
+        };
+        let expected = (0..1u32 << nvars).any(allowed);
+
+        // CDCL with the theory.
+        let mut solver = SatSolver::new();
+        for _ in 0..nvars {
+            solver.new_var();
+        }
+        let mut ok = true;
+        for clause in &clauses {
+            let lits: Vec<Lit> = clause.iter().map(|&(v, pos)| Lit::new(v, pos)).collect();
+            ok &= solver.add_clause(lits);
+        }
+        let mut theory = ForbiddenCubes { cubes };
+        let outcome = if ok {
+            solver.solve_with(&mut theory)
+        } else {
+            SatOutcome::Unsat
+        };
+        theory_conflicts += solver.stats.theory_checks.saturating_sub(1);
+        match outcome {
+            SatOutcome::Sat(model) => {
+                assert!(expected, "round {round}: solver sat, table unsat");
+                let bits = (0..nvars).fold(0u32, |acc, v| acc | u32::from(model[v as usize]) << v);
+                assert!(
+                    allowed(bits),
+                    "round {round}: model violates a clause or satisfies a forbidden cube"
+                );
+                sat_rounds += 1;
+            }
+            SatOutcome::Unsat => {
+                assert!(!expected, "round {round}: solver unsat, table sat");
+                unsat_rounds += 1;
+            }
+            SatOutcome::Unknown => panic!("round {round}: unexpected unknown"),
+        }
+    }
+    // The generator must exercise both verdicts and the theory path.
+    assert!(
+        sat_rounds >= 40 && unsat_rounds >= 40,
+        "{sat_rounds} sat / {unsat_rounds} unsat"
+    );
+    assert!(
+        theory_conflicts >= 300,
+        "only {theory_conflicts} theory conflicts"
+    );
 }

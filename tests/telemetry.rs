@@ -73,6 +73,9 @@ struct TraceSpan {
     tid: u64,
     ts: u64,
     dur: u64,
+    /// The span's `args` keys, each with its value when that is a
+    /// non-negative integer (empty when the span has no args).
+    args: Vec<(String, Option<u64>)>,
 }
 
 fn field_str(fields: &[(String, Json)], key: &str) -> Option<String> {
@@ -125,6 +128,24 @@ fn load_trace(path: &std::path::Path) -> (Vec<TraceSpan>, u64) {
                 tid: field_u64(event, "tid").expect("X event has an integer `tid`"),
                 ts: field_u64(event, "ts").expect("X event has an integer `ts`"),
                 dur: field_u64(event, "dur").expect("X event has an integer `dur`"),
+                args: event
+                    .iter()
+                    .find_map(|(k, v)| match v {
+                        Json::Obj(fields) if k == "args" => Some(
+                            fields
+                                .iter()
+                                .map(|(key, value)| {
+                                    let n = match value {
+                                        Json::Int(n) => u64::try_from(*n).ok(),
+                                        _ => None,
+                                    };
+                                    (key.clone(), n)
+                                })
+                                .collect(),
+                        ),
+                        _ => None,
+                    })
+                    .unwrap_or_default(),
                 name,
             }),
             other => panic!("unexpected event phase {other:?}"),
@@ -209,6 +230,37 @@ fn spans_nest_within_their_parents() {
     };
     parents_of("check", "solve");
     parents_of("solve", "discharge");
+}
+
+/// Every engine `solve` span carries the goal's full search statistics
+/// as integer arguments, beside its goal label.
+#[test]
+fn solve_spans_carry_full_search_stats() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (spans, _) = traced_run("stats");
+    let solves: Vec<&TraceSpan> = spans
+        .iter()
+        .filter(|s| s.cat == "engine" && s.name == "solve")
+        .collect();
+    assert!(!solves.is_empty(), "trace has no engine solve spans");
+    for span in solves {
+        let arg = |key: &str| span.args.iter().find(|(k, _)| k == key).map(|(_, n)| *n);
+        assert!(arg("goal").is_some(), "{:?}", span.args);
+        for key in [
+            "decisions",
+            "propagations",
+            "conflicts",
+            "theory_checks",
+            "pivots",
+            "restarts",
+        ] {
+            assert!(
+                matches!(arg(key), Some(Some(_))),
+                "solve span lacks integer arg `{key}`: {:?}",
+                span.args
+            );
+        }
+    }
 }
 
 /// The `metrics` control frame round-trips over a real socket: a
