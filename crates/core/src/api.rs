@@ -271,7 +271,7 @@ pub struct Config {
     /// CDCL conflict budget per goal (see
     /// [`Solver::max_conflicts`](relaxed_smt::Solver::max_conflicts)).
     pub max_conflicts: u64,
-    /// Branch-and-bound node budget per theory check (see
+    /// Branch-and-bound node budget per final theory check (see
     /// [`Solver::branch_budget`](relaxed_smt::Solver::branch_budget)).
     pub branch_budget: u64,
     /// Whether goals sharing a pure-linear hypothesis are discharged
@@ -602,7 +602,7 @@ impl VerifierBuilder {
         self
     }
 
-    /// Branch-and-bound node budget per theory check.
+    /// Branch-and-bound node budget per final theory check.
     pub fn branch_budget(mut self, branch_budget: u64) -> Self {
         self.branch_budget = Some(branch_budget);
         self

@@ -49,7 +49,7 @@
 //! A dependency-free, append-friendly JSON-lines log:
 //!
 //! ```json
-//! {"format":1,"fingerprint":"format=1;encoder=2;solver=3;conflicts=200000;branch=20000"}
+//! {"format":1,"fingerprint":"format=1;encoder=2;solver=4;conflicts=200000;branch=20000"}
 //! {"goal":"(<= (v |x|) (v |x|))","verdict":"valid"}
 //! {"goal":"(>= (v |x|) 5)","verdict":"invalid","model":{"x":"0"}}
 //! {"goal":"...","verdict":"unknown","reason":"conflict budget exhausted"}

@@ -73,7 +73,7 @@ pub struct DischargeConfig {
     pub workers: usize,
     /// CDCL conflict budget per goal (see [`Solver::max_conflicts`]).
     pub max_conflicts: u64,
-    /// Branch-and-bound node budget per theory check (see
+    /// Branch-and-bound node budget per final theory check (see
     /// [`Solver::branch_budget`]).
     pub branch_budget: u64,
     /// Whether pure-linear goals sharing a hypothesis are discharged
@@ -849,12 +849,15 @@ impl DischargeEngine {
         // order.
         let mut uniq: HashMap<&BTerm, usize> = HashMap::new();
         let mut unique_goals: Vec<&BTerm> = Vec::new();
+        // The first VC of each unique goal, which names it in traces.
+        let mut first_vc: Vec<usize> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(goals.len());
-        for goal in &goals {
+        for (vi, goal) in goals.iter().enumerate() {
             let next = unique_goals.len();
             let gi = *uniq.entry(goal).or_insert(next);
             if gi == next {
                 unique_goals.push(goal);
+                first_vc.push(vi);
             }
             group_of.push(gi);
         }
@@ -1013,14 +1016,17 @@ impl DischargeEngine {
             None => self.config.effective_workers(work.len()),
         };
         // Solve-span labels: the goal's cache key, bounded so one huge
-        // formula cannot bloat the trace.
-        let goal_label = |gi: usize| -> String {
+        // formula cannot bloat the trace, and the obligation name of the
+        // goal's first VC.
+        let label_span = |span: &mut crate::telemetry::SpanGuard, gi: usize| {
             let key = keys[gi].render();
-            if key.len() > 96 {
+            let goal = if key.len() > 96 {
                 key.chars().take(96).collect()
             } else {
                 key
-            }
+            };
+            span.arg("goal", goal);
+            span.arg("vc", vcs[first_vc[gi]].name.clone());
         };
         // Attaches the solver-stats delta of one goal to its solve span.
         let span_stats = |span: &mut crate::telemetry::SpanGuard, stats: &SolverStats| {
@@ -1029,12 +1035,13 @@ impl DischargeEngine {
             span.arg("conflicts", stats.sat.conflicts);
             span.arg("theory_checks", stats.sat.theory_checks);
             span.arg("pivots", stats.pivots);
+            span.arg("branch_nodes", stats.branch_nodes);
             span.arg("restarts", stats.sat.restarts);
         };
         let solve_fresh = |gi: usize| {
             let mut span = crate::telemetry::span("engine", "solve");
             if span.is_active() {
-                span.arg("goal", goal_label(gi));
+                label_span(&mut span, gi);
             }
             let mut solver =
                 Solver::with_budgets(self.config.max_conflicts, self.config.branch_budget);
@@ -1076,7 +1083,7 @@ impl DischargeEngine {
                     };
                     let mut span = crate::telemetry::span("engine", "solve");
                     if span.is_active() {
-                        span.arg("goal", goal_label(gi));
+                        label_span(&mut span, gi);
                     }
                     // Per-goal statistics are the session counters'
                     // advance over this one scoped check, so folding them

@@ -10,7 +10,8 @@
 //! crate implements the required fragment from scratch:
 //!
 //! * [`sat`] — a CDCL SAT solver (two-watched literals, heap-ordered
-//!   VSIDS, 1UIP learning, restarts) that accepts a pluggable theory and
+//!   VSIDS, 1UIP learning, restarts) that feeds a pluggable theory its
+//!   trail incrementally, checks it at every propagation fixpoint, and
 //!   backjumps on its conflict clauses;
 //! * [`simplex`] — a Dutertre–de Moura general simplex over exact
 //!   rationals ([`rational`]) with branch-and-bound integrality;

@@ -4,12 +4,16 @@
 //! phase saving, and geometric restarts.
 //!
 //! The solver doubles as the propositional engine of the DPLL(T) driver in
-//! [`crate::solver`]: a [`Theory`] hook is consulted whenever a full
-//! assignment is found and may veto it with a conflict clause. A theory
-//! conflict is handled like a Boolean one: the search backtracks to the
-//! clause's highest decision level, learns its first-UIP clause and
-//! backjumps, keeping the rest of the assignment (Dutertre & de Moura,
-//! CAV 2006). Theory conflicts do not count toward
+//! [`crate::solver`], which follows Dutertre & de Moura (CAV 2006). At
+//! every propagation fixpoint the literals assigned since the previous
+//! fixpoint are fed to the [`Theory`] in trail order; when one of them
+//! constrains the theory, a cheap partial check runs on the partial
+//! assignment. Backjumps retract the literals beyond the kept trail
+//! prefix. The theory's final check runs only on complete assignments.
+//! A theory conflict, partial or final, is handled like a Boolean one:
+//! the search backtracks to the clause's highest decision level, learns
+//! its first-UIP clause and backjumps, keeping the rest of the
+//! assignment. Theory conflicts do not count toward
 //! [`SatSolver::max_conflicts`].
 
 use std::fmt;
@@ -58,7 +62,8 @@ impl fmt::Display for Lit {
     }
 }
 
-/// The verdict a theory returns for a complete propositional assignment.
+/// The verdict a theory returns for a (partial or complete) propositional
+/// assignment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TheoryVerdict {
     /// The assignment is theory-consistent.
@@ -66,13 +71,43 @@ pub enum TheoryVerdict {
     /// Theory-inconsistent; the clause (over existing literals) must be
     /// added. It should be falsified by the current assignment.
     Conflict(Vec<Lit>),
-    /// The theory could not decide (e.g. branch budget exhausted).
+    /// The theory could not decide (e.g. branch budget exhausted). A
+    /// partial check answering this is treated as consistent.
     Unknown,
 }
 
 /// A theory plugged into the CDCL search.
+///
+/// [`SatSolver::solve_with`] feeds the theory every trail literal once, in
+/// trail order, through [`Theory::assert_lit`]: the literal at trail
+/// position `i` is the `i`-th literal fed. Feeding happens at propagation
+/// fixpoints, and [`Theory::partial_check`] follows whenever a fed literal
+/// constrained the theory. Each feed starts with [`Theory::backtrack`],
+/// which retracts the fed literals that backjumps have since removed from
+/// the trail. A search starts with nothing fed and retracts everything
+/// before it returns.
+///
+/// The incremental hooks default to no-ops, so a theory implementing only
+/// [`Theory::final_check`] is consulted on complete assignments only.
 pub trait Theory {
-    /// Checks a complete assignment; `value(v)` is the assignment.
+    /// Asserts the next trail literal. Returns whether the literal
+    /// constrains the theory, i.e. whether a partial check is due.
+    fn assert_lit(&mut self, _lit: Lit) -> bool {
+        false
+    }
+
+    /// A cheap consistency check of the literals asserted so far. A
+    /// conflict clause must consist of negations of asserted literals.
+    fn partial_check(&mut self) -> TheoryVerdict {
+        TheoryVerdict::Consistent
+    }
+
+    /// Retracts every asserted literal but the first `kept` (a no-op when
+    /// no more than `kept` are asserted).
+    fn backtrack(&mut self, _kept: usize) {}
+
+    /// Checks a complete assignment; `value(v)` is the assignment. Every
+    /// trail literal has been asserted, and partial-checked if due.
     fn final_check(&mut self, value: &dyn Fn(BVar) -> bool) -> TheoryVerdict;
 }
 
@@ -108,7 +143,8 @@ pub struct SatStats {
     pub propagations: u64,
     /// Number of restarts.
     pub restarts: u64,
-    /// Number of theory final-checks.
+    /// Number of theory consistency checks: partial checks at
+    /// propagation fixpoints plus final checks of complete assignments.
     pub theory_checks: u64,
 }
 
@@ -300,6 +336,10 @@ pub struct SatSolver {
     /// Scratch marks for [`SatSolver::analyze`]; all `false` between
     /// calls.
     seen: Vec<bool>,
+    /// Length of the trail prefix fed to the theory of the running
+    /// [`SatSolver::solve_with`] that is still on the trail: backtracking
+    /// lowers it to the trail length.
+    theory_fed: usize,
     ok: bool,
     /// Maximum conflicts before giving up (`None` = unlimited).
     pub max_conflicts: Option<u64>,
@@ -611,6 +651,20 @@ impl SatSolver {
             }
         }
         self.qhead = self.trail.len();
+        self.theory_fed = self.theory_fed.min(self.trail.len());
+    }
+
+    /// Feeds the theory the trail literals assigned since the last feed,
+    /// after retracting the ones a backjump removed. Returns whether a
+    /// partial check is due.
+    fn feed_theory(&mut self, theory: &mut dyn Theory) -> bool {
+        theory.backtrack(self.theory_fed);
+        let mut due = false;
+        while self.theory_fed < self.trail.len() {
+            due |= theory.assert_lit(self.trail[self.theory_fed]);
+            self.theory_fed += 1;
+        }
+        due
     }
 
     /// Decides the unassigned variable of highest activity (lowest index
@@ -665,7 +719,7 @@ impl SatSolver {
     }
 
     /// Handles a theory conflict clause, falsified by the current
-    /// complete assignment, as a Boolean conflict at the clause's highest
+    /// assignment, as a Boolean conflict at the clause's highest
     /// decision level (DPLL(T) conflict handling; Dutertre & de Moura,
     /// CAV 2006): backtrack to that level, add the clause watching its
     /// two highest-level literals, then learn and backjump. Returns
@@ -701,8 +755,16 @@ impl SatSolver {
         self.learn_from_conflict(idx)
     }
 
-    /// Solves with a theory hook.
+    /// Solves with a theory hook (see [`Theory`] for the protocol). On
+    /// return the theory holds no asserted literals.
     pub fn solve_with(&mut self, theory: &mut dyn Theory) -> SatOutcome {
+        let outcome = self.search(theory);
+        theory.backtrack(0);
+        self.theory_fed = 0;
+        outcome
+    }
+
+    fn search(&mut self, theory: &mut dyn Theory) -> SatOutcome {
         if !self.ok {
             return SatOutcome::Unsat;
         }
@@ -724,8 +786,20 @@ impl SatSolver {
                 if !self.learn_from_conflict(ci) {
                     return SatOutcome::Unsat;
                 }
-            } else if self.trail.len() == self.num_vars() {
-                // Complete assignment: consult the theory.
+                continue;
+            }
+            // Propagation fixpoint: bring the theory up to date.
+            if self.feed_theory(theory) {
+                self.stats.theory_checks += 1;
+                if let TheoryVerdict::Conflict(clause) = theory.partial_check() {
+                    if !self.theory_conflict(clause) {
+                        return SatOutcome::Unsat;
+                    }
+                    continue;
+                }
+            }
+            if self.trail.len() == self.num_vars() {
+                // Complete assignment: the theory's final check.
                 self.stats.theory_checks += 1;
                 let assigns = &self.assigns;
                 let value = |v: BVar| assigns[v as usize] == 1;

@@ -2,13 +2,20 @@
 //! branch-and-bound for integrality, in the style of Dutertre & de Moura
 //! (“A fast linear-arithmetic solver for DPLL(T)”, CAV 2006).
 //!
-//! * Every *bound assertion* carries an optional external `Tag` (the DPLL(T)
-//!   driver passes SAT literal indices); rational conflicts report the set
-//!   of tags whose bounds participate in the infeasibility (a Farkas-style
-//!   explanation read off the failing row).
+//! * Every *bound assertion* carries an optional external `Tag` (the
+//!   DPLL(T) driver passes the index of the bound's literal); rational
+//!   conflicts report the set of tags whose bounds participate in the
+//!   infeasibility (a Farkas-style explanation read off the failing row).
 //! * `push`/`pop` snapshot only the bound state — the tableau and the
 //!   current β assignment carry over, which is what makes branch-and-bound
-//!   and CDCL backtracking cheap.
+//!   and CDCL backtracking cheap. The DPLL(T) driver opens one scope per
+//!   asserted literal and calls the rational [`Simplex::check`] at every
+//!   propagation fixpoint, so bounds arrive a few at a time.
+//! * [`Simplex::check`] does not rescan the tableau: it keeps the set of
+//!   basic variables whose bound was tightened or whose value moved since
+//!   they were last seen within bounds. Every violated basic variable is
+//!   in that set, so Bland's rule (smallest violated index) picks the same
+//!   pivots as a full scan would.
 //! * All variables are integer-sorted; `check_int` layers branch-and-bound
 //!   over the rational `check`, with a node budget to bound divergence on
 //!   pathological unbounded problems (exceeding it yields
@@ -16,9 +23,10 @@
 
 use crate::linear::{LinForm, VarId};
 use crate::rational::Rat;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
-/// External reason attached to a bound (a SAT literal index in DPLL(T)).
+/// External reason attached to a bound (in DPLL(T), the position of the
+/// bound's literal among the literals asserted so far).
 pub type Tag = u32;
 
 /// An infeasibility explanation.
@@ -80,6 +88,9 @@ pub struct Simplex {
     upper: Vec<Option<Bound>>,
     trail: Vec<UndoBound>,
     scopes: Vec<usize>,
+    /// Basic variables that may violate a bound: a superset of the
+    /// violated ones, in index order for Bland's rule.
+    candidates: BTreeSet<VarId>,
     /// Statistics: pivot operations performed.
     pub pivots: u64,
     /// Statistics: branch-and-bound nodes explored.
@@ -152,7 +163,8 @@ impl Simplex {
         self.scopes.push(self.trail.len());
     }
 
-    /// Restores bounds to the last [`Simplex::push`].
+    /// Restores bounds to the last [`Simplex::push`]. Restored bounds are
+    /// looser, so no basic variable becomes violated.
     ///
     /// # Panics
     ///
@@ -205,7 +217,9 @@ impl Simplex {
             prev: self.upper[xi].clone(),
         });
         self.upper[xi] = Some(Bound { val, tag });
-        if !self.is_basic(x) && self.values[xi] > val {
+        if self.is_basic(x) {
+            self.candidates.insert(x);
+        } else if self.values[xi] > val {
             self.update_nonbasic(x, val);
         }
         Ok(())
@@ -244,7 +258,9 @@ impl Simplex {
             prev: self.lower[xi].clone(),
         });
         self.lower[xi] = Some(Bound { val, tag });
-        if !self.is_basic(x) && self.values[xi] < val {
+        if self.is_basic(x) {
+            self.candidates.insert(x);
+        } else if self.values[xi] < val {
             self.update_nonbasic(x, val);
         }
         Ok(())
@@ -259,30 +275,30 @@ impl Simplex {
         for (&b, row) in &self.rows {
             if let Some(&a) = row.get(&x) {
                 self.values[b as usize] += a * delta;
+                self.candidates.insert(b);
             }
         }
         self.values[x as usize] = val;
     }
 
-    fn oob_basic(&self) -> Option<(VarId, bool)> {
-        // Bland's rule: smallest variable index; bool = violated-below.
-        let mut best: Option<(VarId, bool)> = None;
-        for &b in self.rows.keys() {
-            let bi = b as usize;
-            let beta = self.values[bi];
-            if let Some(l) = &self.lower[bi] {
-                if beta < l.val && best.is_none_or(|(v, _)| b < v) {
-                    best = Some((b, true));
-                    continue;
+    /// The basic variable violating a bound, smallest index first (Bland's
+    /// rule); the bool is whether it is violated below. Drops the
+    /// candidates it finds within bounds (or no longer basic).
+    fn oob_basic(&mut self) -> Option<(VarId, bool)> {
+        while let Some(&b) = self.candidates.first() {
+            if self.is_basic(b) {
+                let bi = b as usize;
+                let beta = self.values[bi];
+                if self.lower[bi].as_ref().is_some_and(|l| beta < l.val) {
+                    return Some((b, true));
+                }
+                if self.upper[bi].as_ref().is_some_and(|u| beta > u.val) {
+                    return Some((b, false));
                 }
             }
-            if let Some(u) = &self.upper[bi] {
-                if beta > u.val && best.is_none_or(|(v, _)| b < v) {
-                    best = Some((b, false));
-                }
-            }
+            self.candidates.pop_first();
         }
-        best
+        None
     }
 
     /// Rational feasibility check.
@@ -386,9 +402,11 @@ impl Simplex {
         let theta = (v - self.values[xi as usize]) / a_ij;
         self.values[xi as usize] = v;
         self.values[xj as usize] += theta;
+        self.candidates.insert(xj);
         for (&b, brow) in &self.rows {
             if let Some(&a) = brow.get(&xj) {
                 self.values[b as usize] += a * theta;
+                self.candidates.insert(b);
             }
         }
         // New row for xj: xj = (xi - Σ_{k≠j} a_k x_k) / a_ij.
@@ -580,6 +598,114 @@ mod tests {
             }
             other => panic!("expected feasible, got {other:?}"),
         }
+    }
+
+    /// Random assert/push/pop sequences on a tableau with three defined
+    /// variables: after every step, `check` must agree with a freshly
+    /// built tableau holding the same live bounds, and an `Ok` must leave
+    /// every variable within its bounds and every defining row satisfied.
+    /// Pops and failed checks leave stale candidates and violated basics
+    /// behind, which the candidate set must still see.
+    #[test]
+    fn random_scoped_bounds_agree_with_a_fresh_tableau() {
+        use relaxed_interp::rng::SplitMix64;
+        const BASE: u32 = 3;
+        fn build(forms: &[LinForm]) -> Simplex {
+            let mut s = Simplex::new();
+            for _ in 0..BASE {
+                s.new_var();
+            }
+            for f in forms {
+                s.def_var(f);
+            }
+            s
+        }
+        fn assert_bound(s: &mut Simplex, (x, upper, val): (VarId, bool, i64), tag: Tag) -> bool {
+            let val = Rat::int(i128::from(val));
+            if upper {
+                s.assert_upper(x, val, Some(tag)).is_ok()
+            } else {
+                s.assert_lower(x, val, Some(tag)).is_ok()
+            }
+        }
+        let mut rng = SplitMix64::seed_from_u64(0x51AB_0001);
+        let (mut feasible, mut infeasible) = (0, 0);
+        for round in 0..200 {
+            let forms: Vec<LinForm> = (0..3)
+                .map(|_| {
+                    let mut f = LinForm::zero();
+                    while f.is_zero() {
+                        for x in 0..BASE {
+                            f.add_term(x, i128::from(rng.gen_range(-3..=3)));
+                        }
+                    }
+                    f
+                })
+                .collect();
+            let nvars = BASE + forms.len() as u32;
+            let mut s = build(&forms);
+            // The bounds in force, in assertion order, and the length of
+            // that list at each open scope.
+            let mut live: Vec<(VarId, bool, i64)> = Vec::new();
+            let mut scopes: Vec<usize> = Vec::new();
+            for step in 0..40u32 {
+                match rng.gen_u32_below(6) {
+                    0 => {
+                        s.push();
+                        scopes.push(live.len());
+                    }
+                    1 => {
+                        if let Some(len) = scopes.pop() {
+                            s.pop();
+                            live.truncate(len);
+                        }
+                    }
+                    _ => {
+                        let bound = (
+                            rng.gen_u32_below(nvars),
+                            rng.gen_u32_below(2) == 0,
+                            rng.gen_range(-6..=6),
+                        );
+                        if assert_bound(&mut s, bound, step) {
+                            live.push(bound);
+                        }
+                    }
+                }
+                let mut fresh = build(&forms);
+                for (tag, &bound) in live.iter().enumerate() {
+                    assert!(
+                        assert_bound(&mut fresh, bound, tag as Tag),
+                        "round {round} step {step}: live bound {bound:?} rejected on replay"
+                    );
+                }
+                let got = s.check();
+                assert_eq!(
+                    got.is_ok(),
+                    fresh.check().is_ok(),
+                    "round {round} step {step}: live bounds {live:?}"
+                );
+                if got.is_err() {
+                    infeasible += 1;
+                    continue;
+                }
+                feasible += 1;
+                for x in 0..nvars as usize {
+                    let beta = s.values[x];
+                    assert!(s.lower[x].as_ref().is_none_or(|l| l.val <= beta));
+                    assert!(s.upper[x].as_ref().is_none_or(|u| beta <= u.val));
+                }
+                for (k, f) in forms.iter().enumerate() {
+                    let sum = f.iter().fold(Rat::ZERO, |acc, (x, c)| {
+                        acc + Rat::int(c) * s.values[x as usize]
+                    });
+                    assert_eq!(s.values[BASE as usize + k], sum, "row {k} broken");
+                }
+            }
+        }
+        assert!(
+            feasible >= 1000 && infeasible >= 1000,
+            "{feasible} / {infeasible}"
+        );
     }
 
     #[test]

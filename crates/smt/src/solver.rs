@@ -6,6 +6,15 @@
 //! negation. Every "weakening" preprocessing step is tracked so that the
 //! solver never claims `Sat`/`Invalid` from an under-constrained
 //! approximation: such outcomes are reported as [`SmtResult::Unknown`].
+//!
+//! The arithmetic theory is incremental (Dutertre & de Moura, CAV 2006).
+//! When the CDCL search assigns an atom's literal, the atom's bound is
+//! asserted on the session's simplex tableau in a scope of its own, tagged
+//! with that literal; a backjump pops the scopes of the retracted
+//! literals. The rational simplex check runs at every propagation
+//! fixpoint that asserted a bound, so most conflicts are found on partial
+//! assignments. Branch-and-bound for integrality runs only in the final
+//! check of a complete assignment.
 
 use crate::ast::BTerm;
 use crate::cnf::CnfBuilder;
@@ -28,13 +37,18 @@ use crate::cnf::CnfBuilder;
 /// decision levels and learns its first-UIP clause instead of restarting
 /// from level 0, which changes the search order and so the countermodels
 /// reported for `Invalid` goals.
-pub const SOLVER_VERSION: u32 = 3;
+///
+/// Version 4: the arithmetic theory is incremental. Atom bounds are
+/// asserted as their literals are assigned and the rational simplex
+/// check runs on partial assignments, so conflicts are found earlier,
+/// which again changes the search order and the reported countermodels.
+pub const SOLVER_VERSION: u32 = 4;
 use crate::ground::groundify;
 use crate::linear::{BoundKind, IneqAtom, LinForm, VarId};
 use crate::preprocess::{eliminate_quantifiers, FreshNames};
 use crate::rational::Rat;
 use crate::sat::{BVar, Lit, SatOutcome, SatStats, Theory, TheoryVerdict};
-use crate::simplex::{IntCheck, Simplex};
+use crate::simplex::{Conflict, IntCheck, Simplex, Tag};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -198,8 +212,8 @@ impl SolverStats {
 pub struct Solver {
     /// Conflict budget for the CDCL engine (per check).
     max_conflicts: u64,
-    /// Node budget for branch-and-bound integrality search (per theory
-    /// check).
+    /// Node budget for branch-and-bound integrality search (per final
+    /// theory check).
     branch_budget: u64,
     stats: SolverStats,
 }
@@ -233,8 +247,9 @@ impl Solver {
     /// Creates a solver with explicit search budgets.
     ///
     /// `max_conflicts` bounds the CDCL search; `branch_budget` bounds
-    /// branch-and-bound integrality search per theory check. Exhausting
-    /// either yields [`SmtResult::Unknown`], never a wrong verdict.
+    /// branch-and-bound integrality search per final theory check.
+    /// Exhausting either yields [`SmtResult::Unknown`], never a wrong
+    /// verdict.
     pub fn with_budgets(max_conflicts: u64, branch_budget: u64) -> Self {
         Solver {
             max_conflicts,
@@ -253,7 +268,7 @@ impl Solver {
         self.max_conflicts
     }
 
-    /// The branch-and-bound node budget per theory check.
+    /// The branch-and-bound node budget per final theory check.
     pub fn branch_budget(&self) -> u64 {
         self.branch_budget
     }
@@ -424,19 +439,15 @@ impl ScopedSolver<'_> {
         // spent.
         self.cnf.sat.max_conflicts = Some(self.cnf.sat.stats.conflicts + self.solver.max_conflicts);
         let sat_before = self.cnf.sat.stats;
-        let (pivots_before, branch_before) = (self.theory.pivots, self.theory.branch_nodes);
-        let mut check = SessionCheck {
-            atoms: &self.cnf.atoms,
-            pool_len: self.cnf.pool.len(),
-            st: &mut self.theory,
-        };
+        let (pivots_before, branch_before) = (self.theory.spx.pivots, self.theory.spx.branch_nodes);
+        let mut check = SessionCheck::new(&self.cnf.atoms, self.cnf.pool.len(), &mut self.theory);
         let outcome = self.cnf.sat.solve_with(&mut check);
         self.solver
             .stats
             .sat
             .absorb(&self.cnf.sat.stats.delta_since(&sat_before));
-        self.solver.stats.pivots += self.theory.pivots - pivots_before;
-        self.solver.stats.branch_nodes += self.theory.branch_nodes - branch_before;
+        self.solver.stats.pivots += self.theory.spx.pivots - pivots_before;
+        self.solver.stats.branch_nodes += self.theory.spx.branch_nodes - branch_before;
 
         match outcome {
             SatOutcome::Unsat => SmtResult::Unsat,
@@ -494,8 +505,6 @@ struct SessionTheory {
     branch_budget: u64,
     /// Last feasible model, indexed by pool id.
     last_model: Option<Vec<i128>>,
-    pivots: u64,
-    branch_nodes: u64,
 }
 
 impl SessionTheory {
@@ -506,93 +515,142 @@ impl SessionTheory {
             slack_cache: HashMap::new(),
             branch_budget,
             last_model: None,
-            pivots: 0,
-            branch_nodes: 0,
         }
+    }
+
+    /// The simplex column standing for `form` (over pool ids): the pool
+    /// column itself for a single variable with coefficient 1, otherwise
+    /// a cached slack column defined as the form.
+    fn column(&mut self, form: &LinForm) -> VarId {
+        let mut terms = form.iter();
+        if let (Some((x, 1)), None) = (terms.next(), terms.next()) {
+            return self.pool_to_spx[x as usize];
+        }
+        if let Some(&s) = self.slack_cache.get(form) {
+            return s;
+        }
+        let mut spx_form = LinForm::zero();
+        for (pool_id, c) in form.iter() {
+            spx_form.add_term(self.pool_to_spx[pool_id as usize], c);
+        }
+        let s = self.spx.def_var(&spx_form);
+        self.slack_cache.insert(form.clone(), s);
+        s
     }
 }
 
 /// One check's view of the session theory: the current atom table plus
 /// the persistent [`SessionTheory`] (split so the SAT engine can borrow
-/// the atom table immutably while driving the theory mutably).
+/// the atom table immutably while driving the theory mutably), and the
+/// atom literals asserted on the trail so far.
 struct SessionCheck<'a> {
     atoms: &'a [Option<IneqAtom>],
-    pool_len: usize,
     st: &'a mut SessionTheory,
+    /// Trail literals fed so far (atoms or not).
+    fed: usize,
+    /// The asserted atom literals with their trail positions. Entry `t`
+    /// owns the `t`-th simplex scope opened by this check, and its bound
+    /// carries tag `t`.
+    asserted: Vec<(usize, Lit)>,
+    /// A bound that contradicted an earlier one when asserted: the length
+    /// of `asserted` including it, and the conflict. Bounds fed after it
+    /// are not asserted; backtracking past it clears it.
+    pending: Option<(usize, Conflict)>,
+}
+
+impl<'a> SessionCheck<'a> {
+    fn new(atoms: &'a [Option<IneqAtom>], pool_len: usize, st: &'a mut SessionTheory) -> Self {
+        // Columns for pool variables interned since the last check.
+        while st.pool_to_spx.len() < pool_len {
+            st.pool_to_spx.push(st.spx.new_var());
+        }
+        SessionCheck {
+            atoms,
+            st,
+            fed: 0,
+            asserted: Vec::new(),
+            pending: None,
+        }
+    }
+
+    /// The conflict clause for a simplex conflict: the negations of the
+    /// tagged literals, or of every asserted literal when no tag is known.
+    fn explain(&self, c: &Conflict) -> Vec<Lit> {
+        if c.tags.is_empty() {
+            self.asserted.iter().map(|&(_, l)| l.negated()).collect()
+        } else {
+            c.tags
+                .iter()
+                .map(|&t| self.asserted[t as usize].1.negated())
+                .collect()
+        }
+    }
 }
 
 impl Theory for SessionCheck<'_> {
-    fn final_check(&mut self, value: &dyn Fn(BVar) -> bool) -> TheoryVerdict {
-        let st = &mut *self.st;
-        // Columns for pool variables interned since the last check.
-        while st.pool_to_spx.len() < self.pool_len {
-            st.pool_to_spx.push(st.spx.new_var());
-        }
-        let (pivots_before, branch_before) = (st.spx.pivots, st.spx.branch_nodes);
-        // Bounds asserted for this propositional assignment are scoped to
-        // this check; the tableau itself persists.
-        st.spx.push();
-        let mut tag_lits: Vec<Lit> = Vec::new();
-        let mut all_lits: Vec<Lit> = Vec::new();
-
-        let mut conflict: Option<crate::simplex::Conflict> = None;
-        for (v, atom) in self.atoms.iter().enumerate() {
-            let Some(atom) = atom else { continue };
-            let bvar = v as BVar;
-            let positive = value(bvar);
-            let asserted = if positive {
-                atom.clone()
-            } else {
-                atom.negated()
-            };
-            let lit = Lit::new(bvar, positive);
-            all_lits.push(lit);
-            // Slack column for the linear form (single variables with
-            // coefficient 1 map directly to their pool column).
-            let slack = if asserted.form.len() == 1
-                && asserted.form.iter().next().map(|(_, c)| c) == Some(1)
-            {
-                st.pool_to_spx[asserted.form.iter().next().expect("len checked").0 as usize]
-            } else {
-                match st.slack_cache.get(&asserted.form) {
-                    Some(&s) => s,
-                    None => {
-                        let mut spx_form = LinForm::zero();
-                        for (pool_id, c) in asserted.form.iter() {
-                            spx_form.add_term(st.pool_to_spx[pool_id as usize], c);
-                        }
-                        let s = st.spx.def_var(&spx_form);
-                        st.slack_cache.insert(asserted.form.clone(), s);
-                        s
-                    }
-                }
-            };
-            let tag = tag_lits.len() as u32;
-            tag_lits.push(lit);
-            let r = match asserted.kind {
-                BoundKind::Upper => st
-                    .spx
-                    .assert_upper(slack, Rat::int(asserted.bound), Some(tag)),
-                BoundKind::Lower => st
-                    .spx
-                    .assert_lower(slack, Rat::int(asserted.bound), Some(tag)),
-            };
-            if let Err(c) = r {
-                conflict = Some(c);
-                break;
-            }
-        }
-        let result = match conflict {
-            Some(c) => IntCheck::Infeasible(c),
-            None => {
-                let mut budget = st.branch_budget;
-                st.spx.check_int(&mut budget)
-            }
+    fn assert_lit(&mut self, lit: Lit) -> bool {
+        let pos = self.fed;
+        self.fed += 1;
+        let Some(atom) = &self.atoms[lit.var() as usize] else {
+            return false;
         };
-        st.spx.pop();
-        st.pivots += st.spx.pivots - pivots_before;
-        st.branch_nodes += st.spx.branch_nodes - branch_before;
-        match result {
+        let tag = self.asserted.len() as Tag;
+        self.asserted.push((pos, lit));
+        self.st.spx.push();
+        if self.pending.is_some() {
+            return true;
+        }
+        let column = self.st.column(&atom.form);
+        // The negation of `f ≤ b` is `f ≥ b + 1`, and dually.
+        let (kind, bound) = match (atom.kind, lit.is_positive()) {
+            (kind, true) => (kind, atom.bound),
+            (BoundKind::Upper, false) => (BoundKind::Lower, atom.bound + 1),
+            (BoundKind::Lower, false) => (BoundKind::Upper, atom.bound - 1),
+        };
+        let spx = &mut self.st.spx;
+        let asserted = match kind {
+            BoundKind::Upper => spx.assert_upper(column, Rat::int(bound), Some(tag)),
+            BoundKind::Lower => spx.assert_lower(column, Rat::int(bound), Some(tag)),
+        };
+        if let Err(c) = asserted {
+            self.pending = Some((self.asserted.len(), c));
+        }
+        true
+    }
+
+    fn partial_check(&mut self) -> TheoryVerdict {
+        let conflict = match &self.pending {
+            Some((_, c)) => Some(c.clone()),
+            None => self.st.spx.check().err(),
+        };
+        match conflict {
+            Some(c) => TheoryVerdict::Conflict(self.explain(&c)),
+            None => TheoryVerdict::Consistent,
+        }
+    }
+
+    fn backtrack(&mut self, kept: usize) {
+        while self.asserted.last().is_some_and(|&(pos, _)| pos >= kept) {
+            self.asserted.pop();
+            self.st.spx.pop();
+        }
+        self.fed = kept;
+        if self
+            .pending
+            .as_ref()
+            .is_some_and(|&(len, _)| len > self.asserted.len())
+        {
+            self.pending = None;
+        }
+    }
+
+    fn final_check(&mut self, _value: &dyn Fn(BVar) -> bool) -> TheoryVerdict {
+        if let Some((_, c)) = &self.pending {
+            return TheoryVerdict::Conflict(self.explain(c));
+        }
+        let st = &mut *self.st;
+        let mut budget = st.branch_budget;
+        match st.spx.check_int(&mut budget) {
             IntCheck::Feasible(values) => {
                 st.last_model = Some(
                     st.pool_to_spx
@@ -603,18 +661,7 @@ impl Theory for SessionCheck<'_> {
                 TheoryVerdict::Consistent
             }
             IntCheck::Unknown => TheoryVerdict::Unknown,
-            IntCheck::Infeasible(c) => {
-                let clause: Vec<Lit> = if c.tags.is_empty() {
-                    // Fall back to the full assignment as the explanation.
-                    all_lits.iter().map(|l| l.negated()).collect()
-                } else {
-                    c.tags
-                        .iter()
-                        .map(|&t| tag_lits[t as usize].negated())
-                        .collect()
-                };
-                TheoryVerdict::Conflict(clause)
-            }
+            IntCheck::Infeasible(c) => TheoryVerdict::Conflict(self.explain(&c)),
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Differential tests: the DPLL(T) pipeline against brute-force
 //! enumeration on random quantifier-free linear formulas, and the CDCL
-//! core — alone and with a theory hook — against truth-table
+//! core — alone, with a theory consulted on complete assignments, and
+//! with a theory fed incrementally along the trail — against truth-table
 //! enumeration on random CNFs.
 //!
 //! These are the soundness anchors for the whole verification stack: if
@@ -9,7 +10,7 @@
 
 use relaxed_interp::rng::SplitMix64;
 use relaxed_smt::ast::{BTerm, ITerm, Rel};
-use relaxed_smt::sat::{BVar, Lit, SatOutcome, SatSolver, Theory, TheoryVerdict};
+use relaxed_smt::sat::{BVar, Lit, SatOutcome, SatSolver, SatStats, Theory, TheoryVerdict};
 use relaxed_smt::{SmtResult, Solver};
 
 const NAMES: &[&str] = &["x", "y", "z"];
@@ -277,83 +278,189 @@ impl Theory for ForbiddenCubes {
     }
 }
 
-/// Random CNFs plus a random cube-forbidding theory against the truth
-/// table of "every clause holds and no cube does".
-#[test]
-fn cdcl_with_theory_matches_truth_table() {
-    let mut rng = SplitMix64::seed_from_u64(0x7EA0_0001);
-    let gen_lits = |rng: &mut SplitMix64, nvars: u32, len: usize| -> Vec<(u32, bool)> {
-        (0..len)
-            .map(|_| (rng.gen_u32_below(nvars), rng.gen_u32_below(2) == 0))
-            .collect()
-    };
-    let (mut sat_rounds, mut unsat_rounds, mut theory_conflicts) = (0, 0, 0);
-    for round in 0..240 {
-        let nvars = 8 + (round % 7) as u32; // 8..=14 variables
+/// The cube-forbidding theory driven through the incremental hooks: it
+/// mirrors the trail from the fed literals and reports a cube as soon as
+/// all of its literals are on the trail, usually long before the
+/// assignment is complete.
+struct IncrementalCubes {
+    cubes: Vec<Vec<(u32, bool)>>,
+    /// The fed literals, in trail order.
+    trail: Vec<Lit>,
+    /// Per variable: its value on the mirrored trail.
+    value: Vec<Option<bool>>,
+    partial_conflicts: u64,
+}
+
+impl IncrementalCubes {
+    fn new(cubes: Vec<Vec<(u32, bool)>>, nvars: u32) -> Self {
+        IncrementalCubes {
+            cubes,
+            trail: Vec::new(),
+            value: vec![None; nvars as usize],
+            partial_conflicts: 0,
+        }
+    }
+
+    /// The negation of the first cube all of whose literals are on the
+    /// mirrored trail.
+    fn violated(&self) -> Option<Vec<Lit>> {
+        self.cubes
+            .iter()
+            .find(|cube| {
+                cube.iter()
+                    .all(|&(v, positive)| self.value[v as usize] == Some(positive))
+            })
+            .map(|cube| {
+                cube.iter()
+                    .map(|&(v, positive)| Lit::new(v, !positive))
+                    .collect()
+            })
+    }
+}
+
+impl Theory for IncrementalCubes {
+    fn assert_lit(&mut self, lit: Lit) -> bool {
+        let slot = &mut self.value[lit.var() as usize];
+        assert!(slot.is_none(), "{lit} fed again without being retracted");
+        *slot = Some(lit.is_positive());
+        self.trail.push(lit);
+        true
+    }
+
+    fn partial_check(&mut self) -> TheoryVerdict {
+        match self.violated() {
+            Some(clause) => {
+                self.partial_conflicts += 1;
+                TheoryVerdict::Conflict(clause)
+            }
+            None => TheoryVerdict::Consistent,
+        }
+    }
+
+    fn backtrack(&mut self, kept: usize) {
+        for lit in self.trail.drain(kept..) {
+            self.value[lit.var() as usize] = None;
+        }
+    }
+
+    fn final_check(&mut self, value: &dyn Fn(BVar) -> bool) -> TheoryVerdict {
+        for (v, &mirrored) in self.value.iter().enumerate() {
+            assert_eq!(
+                mirrored,
+                Some(value(v as BVar)),
+                "the fed literals diverged from the assignment at b{v}"
+            );
+        }
+        self.violated()
+            .map_or(TheoryVerdict::Consistent, TheoryVerdict::Conflict)
+    }
+}
+
+/// One random instance: a CNF plus forbidden cubes over 8..=14 variables.
+struct CubeRound {
+    nvars: u32,
+    clauses: Vec<Vec<(u32, bool)>>,
+    cubes: Vec<Vec<(u32, bool)>>,
+}
+
+impl CubeRound {
+    fn generate(rng: &mut SplitMix64, round: u32) -> CubeRound {
+        let gen_lits = |rng: &mut SplitMix64, nvars: u32, len: usize| -> Vec<(u32, bool)> {
+            (0..len)
+                .map(|_| (rng.gen_u32_below(nvars), rng.gen_u32_below(2) == 0))
+                .collect()
+        };
+        let nvars = 8 + round % 7; // 8..=14 variables
         let nclauses = nvars as usize + rng.gen_u32_below(2 * nvars) as usize;
-        let clauses: Vec<Vec<(u32, bool)>> = (0..nclauses)
+        let clauses = (0..nclauses)
             .map(|_| {
                 let len = 2 + rng.gen_u32_below(3) as usize;
-                gen_lits(&mut rng, nvars, len)
+                gen_lits(rng, nvars, len)
             })
             .collect();
         let ncubes = 4 + rng.gen_u32_below(24) as usize;
-        let cubes: Vec<Vec<(u32, bool)>> = (0..ncubes)
+        let cubes = (0..ncubes)
             .map(|_| {
                 // Mostly 2–4 literals; one-literal cubes now and then.
                 let len = match rng.gen_u32_below(10) {
                     0 => 1,
                     n => 2 + (n % 3) as usize,
                 };
-                gen_lits(&mut rng, nvars, len)
+                gen_lits(rng, nvars, len)
             })
             .collect();
+        CubeRound {
+            nvars,
+            clauses,
+            cubes,
+        }
+    }
 
-        // Truth table.
-        let clause_masks: Vec<(u32, u32)> = clauses.iter().map(|c| masks(c)).collect();
-        let cube_masks: Vec<(u32, u32)> = cubes.iter().map(|c| masks(c)).collect();
-        let allowed = |bits: u32| {
-            clause_masks
-                .iter()
-                .all(|&(pos, neg)| bits & pos != 0 || !bits & neg != 0)
-                && !cube_masks
-                    .iter()
-                    .any(|&(pos, neg)| bits & pos == pos && !bits & neg == neg)
-        };
-        let expected = (0..1u32 << nvars).any(allowed);
+    /// The truth table: every clause holds and no cube does.
+    fn allowed(&self, bits: u32) -> bool {
+        self.clauses.iter().all(|c| {
+            let (pos, neg) = masks(c);
+            bits & pos != 0 || !bits & neg != 0
+        }) && !self.cubes.iter().any(|c| {
+            let (pos, neg) = masks(c);
+            bits & pos == pos && !bits & neg == neg
+        })
+    }
 
-        // CDCL with the theory.
+    /// Runs CDCL with `theory` and checks the outcome against the truth
+    /// table. Returns whether the instance was satisfiable and the
+    /// search statistics.
+    fn check(&self, round: u32, theory: &mut dyn Theory) -> (bool, SatStats) {
+        let expected = (0..1u32 << self.nvars).any(|bits| self.allowed(bits));
         let mut solver = SatSolver::new();
-        for _ in 0..nvars {
+        for _ in 0..self.nvars {
             solver.new_var();
         }
         let mut ok = true;
-        for clause in &clauses {
+        for clause in &self.clauses {
             let lits: Vec<Lit> = clause.iter().map(|&(v, pos)| Lit::new(v, pos)).collect();
             ok &= solver.add_clause(lits);
         }
-        let mut theory = ForbiddenCubes { cubes };
         let outcome = if ok {
-            solver.solve_with(&mut theory)
+            solver.solve_with(theory)
         } else {
             SatOutcome::Unsat
         };
-        theory_conflicts += solver.stats.theory_checks.saturating_sub(1);
         match outcome {
             SatOutcome::Sat(model) => {
                 assert!(expected, "round {round}: solver sat, table unsat");
-                let bits = (0..nvars).fold(0u32, |acc, v| acc | u32::from(model[v as usize]) << v);
+                let bits =
+                    (0..self.nvars).fold(0u32, |acc, v| acc | u32::from(model[v as usize]) << v);
                 assert!(
-                    allowed(bits),
+                    self.allowed(bits),
                     "round {round}: model violates a clause or satisfies a forbidden cube"
                 );
-                sat_rounds += 1;
             }
-            SatOutcome::Unsat => {
-                assert!(!expected, "round {round}: solver unsat, table sat");
-                unsat_rounds += 1;
-            }
+            SatOutcome::Unsat => assert!(!expected, "round {round}: solver unsat, table sat"),
             SatOutcome::Unknown => panic!("round {round}: unexpected unknown"),
+        }
+        (expected, solver.stats)
+    }
+}
+
+/// Random CNFs plus a random cube-forbidding theory against the truth
+/// table of "every clause holds and no cube does". The theory sees
+/// complete assignments only.
+#[test]
+fn cdcl_with_theory_matches_truth_table() {
+    let mut rng = SplitMix64::seed_from_u64(0x7EA0_0001);
+    let (mut sat_rounds, mut unsat_rounds, mut theory_conflicts) = (0, 0, 0);
+    for round in 0..240 {
+        let instance = CubeRound::generate(&mut rng, round);
+        let mut theory = ForbiddenCubes {
+            cubes: instance.cubes.clone(),
+        };
+        let (sat, stats) = instance.check(round, &mut theory);
+        theory_conflicts += stats.theory_checks.saturating_sub(1);
+        if sat {
+            sat_rounds += 1;
+        } else {
+            unsat_rounds += 1;
         }
     }
     // The generator must exercise both verdicts and the theory path.
@@ -364,5 +471,39 @@ fn cdcl_with_theory_matches_truth_table() {
     assert!(
         theory_conflicts >= 300,
         "only {theory_conflicts} theory conflicts"
+    );
+}
+
+/// The same instances with the theory asserted incrementally: literals
+/// are fed at every propagation fixpoint, cubes are refuted by partial
+/// checks, and every backjump must retract the literals it removes from
+/// the trail (the theory panics on a literal fed twice and checks its
+/// mirror against every complete assignment).
+#[test]
+fn cdcl_with_incremental_theory_matches_truth_table() {
+    let mut rng = SplitMix64::seed_from_u64(0x7EA0_0001);
+    let (mut sat_rounds, mut unsat_rounds, mut partial_conflicts) = (0, 0, 0);
+    for round in 0..240 {
+        let instance = CubeRound::generate(&mut rng, round);
+        let mut theory = IncrementalCubes::new(instance.cubes.clone(), instance.nvars);
+        let (sat, _) = instance.check(round, &mut theory);
+        assert!(
+            theory.trail.is_empty(),
+            "round {round}: the search must retract every fed literal"
+        );
+        partial_conflicts += theory.partial_conflicts;
+        if sat {
+            sat_rounds += 1;
+        } else {
+            unsat_rounds += 1;
+        }
+    }
+    assert!(
+        sat_rounds >= 40 && unsat_rounds >= 40,
+        "{sat_rounds} sat / {unsat_rounds} unsat"
+    );
+    assert!(
+        partial_conflicts >= 300,
+        "only {partial_conflicts} partial-check conflicts"
     );
 }

@@ -38,7 +38,8 @@
 //! parser and prints the machine-readable
 //! `trace: path=.. events=.. solve_spans=..` line the CI `trace-smoke`
 //! job gates on. `--slow <N>` additionally prints the N slowest solve
-//! spans as a goal table.
+//! spans as a goal table: the obligation name of each goal's first VC
+//! beside its truncated cache key.
 //!
 //! With `--edit-reverify` the example becomes the goal-dependency-map
 //! gate: verify the corpus cold into a scratch persistent store, patch
@@ -260,20 +261,24 @@ fn report_trace(expect_solves: bool, slow_n: usize) -> Result<(), Box<dyn std::e
             .collect();
         solves.sort_by_key(|span| std::cmp::Reverse(span.dur_us));
         println!("slowest goals:");
-        println!("{:>12}  {:>4}  goal", "solve_ms", "lane");
+        println!("{:>12}  {:>4}  {:<28}  goal", "solve_ms", "lane", "vc");
         for event in solves.iter().take(slow_n) {
-            let goal = event
-                .args
-                .iter()
-                .find_map(|(key, value)| match (key.as_ref(), value) {
-                    ("goal", telemetry::ArgValue::Str(s)) => Some(s.as_str()),
-                    _ => None,
-                })
-                .unwrap_or("<unlabelled>");
+            let label = |wanted: &str| {
+                event
+                    .args
+                    .iter()
+                    .find_map(|(key, value)| match value {
+                        telemetry::ArgValue::Str(s) if key == wanted => Some(s.as_str()),
+                        _ => None,
+                    })
+                    .unwrap_or("<unlabelled>")
+            };
             println!(
-                "{:>12.3}  {:>4}  {goal}",
+                "{:>12.3}  {:>4}  {:<28}  {}",
                 event.dur_us as f64 / 1e3,
-                event.tid
+                event.tid,
+                label("vc"),
+                label("goal")
             );
         }
     }

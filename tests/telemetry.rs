@@ -246,12 +246,19 @@ fn solve_spans_carry_full_search_stats() {
     for span in solves {
         let arg = |key: &str| span.args.iter().find(|(k, _)| k == key).map(|(_, n)| *n);
         assert!(arg("goal").is_some(), "{:?}", span.args);
+        // The obligation name is a string, not an integer.
+        assert!(
+            matches!(arg("vc"), Some(None)),
+            "solve span lacks string arg `vc`: {:?}",
+            span.args
+        );
         for key in [
             "decisions",
             "propagations",
             "conflicts",
             "theory_checks",
             "pivots",
+            "branch_nodes",
             "restarts",
         ] {
             assert!(
