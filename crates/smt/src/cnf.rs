@@ -4,11 +4,19 @@
 //! syntactically complementary atoms (`f ≤ b` vs `f ≥ b+1`) map to the two
 //! polarities of the *same* variable, so propositional reasoning sees the
 //! complement structure for free.
+//!
+//! Each atom is linearized once: one walk over the borrowed `lhs` and `rhs`
+//! sums coefficients per borrowed variable name (see
+//! [`linear_diff`](crate::linear)), and the names are interned in sorted
+//! order. `Eq` and `Ne` atoms split into two bounds of that one form, and
+//! `a ⇒ b` is encoded as the gate for `¬a ∨ b` without rewriting the tree.
 
 use crate::ast::{BTerm, ITerm, Rel};
-use crate::linear::{canon_ineq, BoundKind, CanonAtom, IneqAtom, LinForm, VarPool};
-use crate::preprocess::poly;
+use crate::linear::{
+    canon_ineq, linear_diff, var_name, BoundKind, CanonAtom, IneqAtom, LinForm, VarPool,
+};
 use crate::sat::{BVar, Lit, SatSolver};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -83,33 +91,64 @@ impl CnfBuilder {
     fn atom_lit(&mut self, atom: IneqAtom) -> Lit {
         // Canonical key: the Upper representative.
         let (key, positive) = match atom.kind {
-            BoundKind::Upper => ((atom.form.clone(), atom.bound), true),
+            BoundKind::Upper => ((atom.form, atom.bound), true),
             // f ≥ b ⟺ ¬(f ≤ b−1)
-            BoundKind::Lower => ((atom.form.clone(), atom.bound - 1), false),
+            BoundKind::Lower => ((atom.form, atom.bound - 1), false),
         };
-        if let Some(&v) = self.atom_vars.get(&key) {
-            return Lit::new(v, positive);
-        }
-        let v = self.sat.new_var();
-        self.atoms.push(Some(IneqAtom {
-            form: key.0.clone(),
-            kind: BoundKind::Upper,
-            bound: key.1,
-        }));
-        self.atom_vars.insert(key, v);
+        let v = match self.atom_vars.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let v = self.sat.new_var();
+                self.atoms.push(Some(IneqAtom {
+                    form: e.key().0.clone(),
+                    kind: BoundKind::Upper,
+                    bound: e.key().1,
+                }));
+                *e.insert(v)
+            }
+        };
         Lit::new(v, positive)
     }
 
+    /// The literal for `form + k rel 0` (`rel` neither `Eq` nor `Ne`).
+    fn ineq_lit(&mut self, form: LinForm, k: i128, rel: Rel) -> Lit {
+        match canon_ineq(form, k, rel) {
+            CanonAtom::True => self.true_lit(),
+            CanonAtom::False => self.true_lit().negated(),
+            CanonAtom::Ineq(atom) => self.atom_lit(atom),
+        }
+    }
+
+    /// `lhs − rhs` as a linear form over interned variables plus a
+    /// constant, in one walk over the borrowed terms. Names are interned
+    /// in sorted order, and only those whose coefficient does not cancel.
     fn linearize(&mut self, lhs: &ITerm, rhs: &ITerm) -> Result<(LinForm, i128), EncodeError> {
-        let diff = lhs.clone().sub(rhs.clone());
-        let (coeffs, k) = poly(&diff).ok_or_else(|| EncodeError {
-            message: format!("non-linear atom after grounding: {diff:?}"),
+        let (coeffs, k) = linear_diff(lhs, rhs, &var_name).ok_or_else(|| EncodeError {
+            message: format!("non-linear atom after grounding: {lhs:?} - {rhs:?}"),
         })?;
         let mut form = LinForm::zero();
         for (name, c) in coeffs {
-            form.add_term(self.pool.intern(&name), c);
+            form.add_term(self.pool.intern(name), c);
         }
         Ok((form, k))
+    }
+
+    /// A Tseitin gate `g ⟺ a ∧ b`.
+    fn and_gate(&mut self, a: Lit, b: Lit) -> Lit {
+        let g = Lit::new(self.new_bool_var(), true);
+        self.sat.add_clause(vec![g.negated(), a]);
+        self.sat.add_clause(vec![g.negated(), b]);
+        self.sat.add_clause(vec![a.negated(), b.negated(), g]);
+        g
+    }
+
+    /// A Tseitin gate `g ⟺ a ∨ b`.
+    fn or_gate(&mut self, a: Lit, b: Lit) -> Lit {
+        let g = Lit::new(self.new_bool_var(), true);
+        self.sat.add_clause(vec![g.negated(), a, b]);
+        self.sat.add_clause(vec![a.negated(), g]);
+        self.sat.add_clause(vec![b.negated(), g]);
+        g
     }
 
     /// Tseitin-encodes a formula, returning its literal.
@@ -123,51 +162,37 @@ impl CnfBuilder {
             BTerm::True => Ok(self.true_lit()),
             BTerm::False => Ok(self.true_lit().negated()),
             BTerm::Atom(rel, lhs, rhs) => {
-                match rel {
+                let (form, k) = self.linearize(lhs, rhs)?;
+                Ok(match rel {
+                    // f = 0 ⟺ f ≤ 0 ∧ f ≥ 0, and f ≠ 0 ⟺ f < 0 ∨ f > 0.
                     Rel::Eq => {
-                        let both = BTerm::Atom(Rel::Le, lhs.clone(), rhs.clone()).and(BTerm::Atom(
-                            Rel::Ge,
-                            lhs.clone(),
-                            rhs.clone(),
-                        ));
-                        self.encode(&both)
+                        let le = self.ineq_lit(form.clone(), k, Rel::Le);
+                        let ge = self.ineq_lit(form, k, Rel::Ge);
+                        self.and_gate(le, ge)
                     }
                     Rel::Ne => {
-                        let either = BTerm::Atom(Rel::Lt, lhs.clone(), rhs.clone())
-                            .or(BTerm::Atom(Rel::Gt, lhs.clone(), rhs.clone()));
-                        self.encode(&either)
+                        let lt = self.ineq_lit(form.clone(), k, Rel::Lt);
+                        let gt = self.ineq_lit(form, k, Rel::Gt);
+                        self.or_gate(lt, gt)
                     }
-                    _ => {
-                        let (form, k) = self.linearize(lhs, rhs)?;
-                        match canon_ineq(form, k, *rel) {
-                            CanonAtom::True => Ok(self.true_lit()),
-                            CanonAtom::False => Ok(self.true_lit().negated()),
-                            CanonAtom::Ineq(atom) => Ok(self.atom_lit(atom)),
-                        }
-                    }
-                }
+                    _ => self.ineq_lit(form, k, *rel),
+                })
             }
             BTerm::And(x, y) => {
                 let lx = self.encode(x)?;
                 let ly = self.encode(y)?;
-                let g = Lit::new(self.new_bool_var(), true);
-                self.sat.add_clause(vec![g.negated(), lx]);
-                self.sat.add_clause(vec![g.negated(), ly]);
-                self.sat.add_clause(vec![lx.negated(), ly.negated(), g]);
-                Ok(g)
+                Ok(self.and_gate(lx, ly))
             }
             BTerm::Or(x, y) => {
                 let lx = self.encode(x)?;
                 let ly = self.encode(y)?;
-                let g = Lit::new(self.new_bool_var(), true);
-                self.sat.add_clause(vec![g.negated(), lx, ly]);
-                self.sat.add_clause(vec![lx.negated(), g]);
-                self.sat.add_clause(vec![ly.negated(), g]);
-                Ok(g)
+                Ok(self.or_gate(lx, ly))
             }
+            // x ⇒ y ⟺ ¬x ∨ y
             BTerm::Implies(x, y) => {
-                let rewritten = BTerm::Or(Box::new(BTerm::Not(x.clone())), y.clone());
-                self.encode(&rewritten)
+                let lx = self.encode(x)?.negated();
+                let ly = self.encode(y)?;
+                Ok(self.or_gate(lx, ly))
             }
             BTerm::Not(x) => Ok(self.encode(x)?.negated()),
             BTerm::Exists(_, _) | BTerm::Forall(_, _) => Err(EncodeError {
@@ -280,6 +305,47 @@ mod tests {
         // Two theory atoms: x ≤ 5 and x ≤ 4 (for x ≥ 5).
         let natoms = cnf.atoms.iter().flatten().count();
         assert_eq!(natoms, 2);
+    }
+
+    #[test]
+    fn disequality_is_two_atoms_over_one_form() {
+        let mut cnf = CnfBuilder::new();
+        cnf.encode(&x().rel(Rel::Ne, ITerm::Const(5))).unwrap();
+        // x < 5 is x ≤ 4; x > 5 is ¬(x ≤ 5).
+        let atoms: Vec<&IneqAtom> = cnf.atoms.iter().flatten().collect();
+        assert_eq!(atoms.len(), 2);
+        assert_eq!(atoms[0].form, atoms[1].form);
+        assert_eq!((atoms[0].bound, atoms[1].bound), (4, 5));
+        assert_eq!(cnf.pool.len(), 1);
+    }
+
+    #[test]
+    fn non_linear_atom_is_an_encoding_error() {
+        let mut cnf = CnfBuilder::new();
+        let product = x().mul(ITerm::var("y")).le(ITerm::Const(3));
+        let err = cnf.encode(&product).unwrap_err();
+        assert!(err.message.contains("non-linear"), "{err}");
+        assert!(cnf.atoms.is_empty() && cnf.pool.is_empty());
+    }
+
+    #[test]
+    fn implication_encodes_as_its_disjunction() {
+        let a = x().le(ITerm::Const(3));
+        let b = ITerm::var("y").ge(x());
+        let mut implied = CnfBuilder::new();
+        let li = implied.encode(&a.clone().implies(b.clone())).unwrap();
+        let mut disjoined = CnfBuilder::new();
+        let ld = disjoined.encode(&a.not().or(b)).unwrap();
+        assert_eq!(li, ld);
+        assert_eq!(implied.atoms, disjoined.atoms);
+        let names = |c: &CnfBuilder| {
+            c.pool
+                .iter()
+                .map(|(_, n)| n.to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&implied), names(&disjoined));
+        assert_eq!(implied.sat.num_vars(), disjoined.sat.num_vars());
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl Grounder {
 
 fn is_constant(t: &ITerm) -> bool {
     // Constant in the linear sense: its polynomial view has no variables.
-    crate::preprocess::poly(t).is_some_and(|(m, _)| m.is_empty())
+    crate::linear::linear_view(t, &crate::linear::var_name).is_some_and(|(m, _)| m.is_empty())
 }
 
 /// Grounds a quantifier-free formula.

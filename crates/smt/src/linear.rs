@@ -7,8 +7,13 @@
 //! linear form receives one *slack variable* in the simplex tableau, and
 //! asserting a literal just sets a bound on that slack, so a form and its
 //! negation share all solver state.
+//!
+//! `linear_view` and `linear_diff` read an [`ITerm`] as such a form in
+//! one walk over the borrowed term: each leaf is keyed by a caller-chosen
+//! borrowed key (a variable name for the CNF encoder, the leaf term itself
+//! for quantifier elimination), so no term or name is copied on the way.
 
-use crate::ast::Rel;
+use crate::ast::{ITerm, Rel};
 use crate::rational::Rat;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -220,6 +225,104 @@ impl fmt::Display for LinForm {
         }
         Ok(())
     }
+}
+
+/// A linear view of `t`: a coefficient per leaf key plus a constant, with
+/// zero coefficients dropped.
+///
+/// Leaves are variables, array reads, lengths, divisions, remainders, and
+/// products of two non-constant factors; `key` names each leaf, or returns
+/// `None` for a leaf the caller cannot treat as a variable. The view is
+/// `None` when a leaf has no key or a coefficient overflows `i128`.
+pub(crate) fn linear_view<'a, K: Ord>(
+    t: &'a ITerm,
+    key: &impl Fn(&'a ITerm) -> Option<K>,
+) -> Option<(BTreeMap<K, i128>, i128)> {
+    let (mut coeffs, mut k) = (BTreeMap::new(), 0);
+    accumulate(t, 1, key, &mut coeffs, &mut k)?;
+    coeffs.retain(|_, c| *c != 0);
+    Some((coeffs, k))
+}
+
+/// The `linear_view` of `lhs − rhs`, walking both sides once without
+/// building the difference term.
+pub(crate) fn linear_diff<'a, K: Ord>(
+    lhs: &'a ITerm,
+    rhs: &'a ITerm,
+    key: &impl Fn(&'a ITerm) -> Option<K>,
+) -> Option<(BTreeMap<K, i128>, i128)> {
+    let (mut coeffs, mut k) = (BTreeMap::new(), 0);
+    accumulate(lhs, 1, key, &mut coeffs, &mut k)?;
+    accumulate(rhs, -1, key, &mut coeffs, &mut k)?;
+    coeffs.retain(|_, c| *c != 0);
+    Some((coeffs, k))
+}
+
+/// The key of a plain variable leaf: its name. Every other leaf has none,
+/// which makes the view fail on it (the CNF encoder's linear atoms).
+pub(crate) fn var_name(t: &ITerm) -> Option<&str> {
+    match t {
+        ITerm::Var(v) => Some(v),
+        _ => None,
+    }
+}
+
+/// Adds `scale · t` to `coeffs` and `k`.
+fn accumulate<'a, K: Ord>(
+    t: &'a ITerm,
+    scale: i128,
+    key: &impl Fn(&'a ITerm) -> Option<K>,
+    coeffs: &mut BTreeMap<K, i128>,
+    k: &mut i128,
+) -> Option<()> {
+    match t {
+        ITerm::Const(n) => *k = k.checked_add(scale.checked_mul(i128::from(*n))?)?,
+        ITerm::Add(a, b) => {
+            accumulate(a, scale, key, coeffs, k)?;
+            accumulate(b, scale, key, coeffs, k)?;
+        }
+        ITerm::Sub(a, b) => {
+            accumulate(a, scale, key, coeffs, k)?;
+            accumulate(b, scale.checked_neg()?, key, coeffs, k)?;
+        }
+        ITerm::Neg(a) => accumulate(a, scale.checked_neg()?, key, coeffs, k)?,
+        ITerm::Mul(a, b) => match (&**a, &**b) {
+            (ITerm::Const(c), other) | (other, ITerm::Const(c)) => {
+                accumulate(other, scale.checked_mul(i128::from(*c))?, key, coeffs, k)?;
+            }
+            _ => {
+                // A product is linear when one factor's view has no leaves.
+                let (ma, ka) = linear_view(a, key)?;
+                let (mb, kb) = linear_view(b, key)?;
+                let (leaves, factor) = if ma.is_empty() {
+                    (mb, ka)
+                } else if mb.is_empty() {
+                    (ma, kb)
+                } else {
+                    return add_leaf(coeffs, key(t)?, scale);
+                };
+                let factor = scale.checked_mul(factor)?;
+                for (leaf, c) in leaves {
+                    add_leaf(coeffs, leaf, c.checked_mul(factor)?)?;
+                }
+                *k = k.checked_add(ka.checked_mul(kb)?.checked_mul(scale)?)?;
+            }
+        },
+        ITerm::Var(_)
+        | ITerm::Select(_, _)
+        | ITerm::Len(_)
+        | ITerm::Div(_, _)
+        | ITerm::Mod(_, _) => {
+            add_leaf(coeffs, key(t)?, scale)?;
+        }
+    }
+    Some(())
+}
+
+fn add_leaf<K: Ord>(coeffs: &mut BTreeMap<K, i128>, leaf: K, c: i128) -> Option<()> {
+    let e = coeffs.entry(leaf).or_insert(0);
+    *e = e.checked_add(c)?;
+    Some(())
 }
 
 /// The direction of a bound on a linear form.

@@ -7,8 +7,16 @@
 //! models) and sets the `incomplete` flag. An `Unsat` verdict on the
 //! processed formula is therefore always trustworthy; a `Sat` verdict is
 //! only reported when no weakening rewrite fired.
+//!
+//! Exact `∃x` elimination works on an *indexed DNF*: one table of the
+//! body's atoms, borrowed rather than copied, and the cubes as index lists
+//! into it. Each table atom is solved for `x` once (does it mention `x`,
+//! is the coefficient `±1`, which bound and direction does it give), so an
+//! atom shared by many cubes is analysed once and cloned only into the
+//! output formula.
 
 use crate::ast::{BTerm, ITerm, Rel};
+use crate::linear::linear_diff;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Caps on the exact-elimination expansions, beyond which the preprocessor
@@ -238,211 +246,191 @@ pub fn nnf(b: &BTerm, negate: bool) -> BTerm {
     }
 }
 
-/// A linear view over *base terms*: plain variables stay variables, while
-/// opaque subterms (array reads, divisions, non-linear products, lengths)
-/// become pseudo-variables keyed by their own syntax. This lets the
-/// unit-coefficient quantifier elimination see through atoms like
-/// `a ≤ col[i] + e`.
-pub(crate) fn poly_terms(t: &ITerm) -> Option<(BTreeMap<ITerm, i128>, i128)> {
-    fn insert(mut m: BTreeMap<ITerm, i128>, k: ITerm, c: i128) -> BTreeMap<ITerm, i128> {
-        let e = m.entry(k.clone()).or_insert(0);
-        *e += c;
-        if *e == 0 {
-            m.remove(&k);
-        }
-        m
-    }
+/// Whether `t` mentions a name `hit` accepts, as a variable or as an
+/// array base: the names [`term_vars`] would collect, without building
+/// the set.
+fn term_mentions(t: &ITerm, hit: &impl Fn(&str) -> bool) -> bool {
     match t {
-        ITerm::Const(n) => Some((BTreeMap::new(), *n as i128)),
-        ITerm::Var(_)
-        | ITerm::Select(_, _)
-        | ITerm::Len(_)
-        | ITerm::Div(_, _)
-        | ITerm::Mod(_, _) => Some((insert(BTreeMap::new(), t.clone(), 1), 0)),
-        ITerm::Add(a, b) => {
-            let (ma, ka) = poly_terms(a)?;
-            let (mb, kb) = poly_terms(b)?;
-            Some((merge_terms(ma, mb, 1), ka + kb))
-        }
-        ITerm::Sub(a, b) => {
-            let (ma, ka) = poly_terms(a)?;
-            let (mb, kb) = poly_terms(b)?;
-            Some((merge_terms(ma, mb, -1), ka - kb))
-        }
-        ITerm::Neg(a) => {
-            let (ma, ka) = poly_terms(a)?;
-            Some((scale_terms(ma, -1), -ka))
-        }
-        ITerm::Mul(a, b) => {
-            let pa = poly_terms(a)?;
-            let pb = poly_terms(b)?;
-            if pa.0.is_empty() {
-                Some((scale_terms(pb.0, pa.1), pa.1 * pb.1))
-            } else if pb.0.is_empty() {
-                Some((scale_terms(pa.0, pb.1), pa.1 * pb.1))
-            } else {
-                // Non-linear product: one opaque base term.
-                Some((insert(BTreeMap::new(), t.clone(), 1), 0))
-            }
-        }
+        ITerm::Const(_) => false,
+        ITerm::Var(v) | ITerm::Len(v) => hit(v),
+        ITerm::Add(a, b)
+        | ITerm::Sub(a, b)
+        | ITerm::Mul(a, b)
+        | ITerm::Div(a, b)
+        | ITerm::Mod(a, b) => term_mentions(a, hit) || term_mentions(b, hit),
+        ITerm::Neg(a) => term_mentions(a, hit),
+        ITerm::Select(arr, idx) => hit(arr) || term_mentions(idx, hit),
     }
 }
 
-fn merge_terms(
-    mut a: BTreeMap<ITerm, i128>,
-    b: BTreeMap<ITerm, i128>,
-    sign: i128,
-) -> BTreeMap<ITerm, i128> {
-    for (k, v) in b {
-        let e = a.entry(k).or_insert(0);
-        *e += sign * v;
-    }
-    a.retain(|_, v| *v != 0);
-    a
+/// Whether `t` mentions the name `x`.
+fn mentions(t: &ITerm, x: &str) -> bool {
+    term_mentions(t, &|v| v == x)
 }
 
-fn scale_terms(mut a: BTreeMap<ITerm, i128>, s: i128) -> BTreeMap<ITerm, i128> {
-    if s == 0 {
-        return BTreeMap::new();
-    }
-    for v in a.values_mut() {
-        *v *= s;
-    }
-    a
+/// An atom `lhs rel rhs` solved for the variable `x` over *base terms*:
+/// plain variables stay variables, while opaque subterms (array reads,
+/// divisions, non-linear products, lengths) count as pseudo-variables
+/// keyed by their own syntax. This lets unit-coefficient elimination see
+/// through atoms like `a ≤ col[i] + e`.
+enum Solved {
+    /// The atom does not mention `x`.
+    Free,
+    /// `x` occurs, but its coefficient is not `±1`, or the bound does not
+    /// fit the `i64` constants of [`ITerm`].
+    NonUnit,
+    /// The atom is `x rel bound`, with `rel` flipped when `flip` is set
+    /// (the coefficient of `x` was −1).
+    Unit { flip: bool, bound: ITerm },
 }
 
-/// Rebuilds an [`ITerm`] from a base-term linear view.
-fn unpoly_terms(m: &BTreeMap<ITerm, i128>, k: i128) -> ITerm {
+/// Solves `lhs − rhs` for `x`. `None` when `x` hides inside an opaque base
+/// term (or a coefficient overflows): no exact elimination can remove it.
+fn solve_for(x: &str, lhs: &ITerm, rhs: &ITerm) -> Option<Solved> {
+    if !mentions(lhs, x) && !mentions(rhs, x) {
+        return Some(Solved::Free);
+    }
+    let (mut view, k) = linear_diff(lhs, rhs, &Some)?;
+    let x_key = view
+        .keys()
+        .copied()
+        .find(|t| matches!(t, ITerm::Var(v) if v == x));
+    let c = x_key.and_then(|t| view.remove(t));
+    if view.keys().any(|t| mentions(t, x)) {
+        return None;
+    }
+    // c·x + R + k  rel  0, with R the rest of the view.
+    // If c = 1:  x  rel  -(R + k);  if c = -1:  x  flip(rel)  (R + k).
+    let solved = match c {
+        Some(1) => k.checked_neg().and_then(|k| unpoly_terms(&view, -1, k)),
+        Some(-1) => unpoly_terms(&view, 1, k),
+        _ => None,
+    };
+    Some(match solved {
+        Some(bound) => Solved::Unit {
+            flip: c == Some(-1),
+            bound,
+        },
+        None => Solved::NonUnit,
+    })
+}
+
+/// Rebuilds `sign · R + k` as a term from a base-term view `R`. `None`
+/// when a constant or coefficient does not fit `i64`: narrowing it would
+/// wrap to a different bound and make the elimination unsound.
+fn unpoly_terms(view: &BTreeMap<&ITerm, i128>, sign: i128, k: i128) -> Option<ITerm> {
     let mut acc: Option<ITerm> = if k != 0 {
-        Some(ITerm::Const(k as i64))
+        Some(ITerm::Const(i64::try_from(k).ok()?))
     } else {
         None
     };
-    for (base, &c) in m {
-        let piece = match c {
+    for (&base, &c) in view {
+        let piece = match c.checked_mul(sign)? {
             1 => base.clone(),
             -1 => ITerm::Neg(Box::new(base.clone())),
-            c => ITerm::Mul(Box::new(ITerm::Const(c as i64)), Box::new(base.clone())),
+            c => ITerm::Mul(
+                Box::new(ITerm::Const(i64::try_from(c).ok()?)),
+                Box::new(base.clone()),
+            ),
         };
         acc = Some(match acc {
             None => piece,
             Some(prev) => prev.add(piece),
         });
     }
-    acc.unwrap_or(ITerm::Const(0))
+    Some(acc.unwrap_or(ITerm::Const(0)))
 }
 
-/// Base-term keys of a view that mention the variable `x`.
-fn keys_mentioning(m: &BTreeMap<ITerm, i128>, x: &str) -> bool {
-    m.keys().any(|k| {
-        if let ITerm::Var(v) = k {
-            v == x
-        } else {
-            let mut vars = BTreeSet::new();
-            term_vars(k, &mut vars);
-            vars.contains(x)
-        }
-    })
+/// How one atom of an elimination body constrains `x`.
+enum Occurrence {
+    /// The atom does not mention `x`.
+    Free,
+    /// Exact elimination fails on any cube that reaches the atom.
+    NonUnit,
+    /// `x = t`.
+    Eq(ITerm),
+    /// `x ≤ t`.
+    Upper(ITerm),
+    /// `x ≥ t`.
+    Lower(ITerm),
 }
 
-/// A linear view of a term: coefficients per name plus a constant.
-/// `None` when the term is not linear in its variables.
-pub(crate) fn poly(t: &ITerm) -> Option<(BTreeMap<String, i128>, i128)> {
-    match t {
-        ITerm::Const(n) => Some((BTreeMap::new(), *n as i128)),
-        ITerm::Var(v) => {
-            let mut m = BTreeMap::new();
-            m.insert(v.clone(), 1);
-            Some((m, 0))
+impl Occurrence {
+    fn of(rel: Rel, solved: &Solved) -> Occurrence {
+        let Solved::Unit { flip, bound } = solved else {
+            return match solved {
+                Solved::Free => Occurrence::Free,
+                _ => Occurrence::NonUnit,
+            };
+        };
+        let rel = if *flip { flipped_by_sign(rel) } else { rel };
+        match rel {
+            Rel::Le => Occurrence::Upper(bound.clone()),
+            Rel::Lt => Occurrence::Upper(bound.clone().sub(ITerm::Const(1))),
+            Rel::Ge => Occurrence::Lower(bound.clone()),
+            Rel::Gt => Occurrence::Lower(bound.clone().add(ITerm::Const(1))),
+            Rel::Eq => Occurrence::Eq(bound.clone()),
+            // `dnf_cubes` splits every `Ne` atom that mentions x.
+            Rel::Ne => Occurrence::NonUnit,
         }
-        ITerm::Add(a, b) => {
-            let (ma, ka) = poly(a)?;
-            let (mb, kb) = poly(b)?;
-            Some((merge(ma, mb, 1), ka + kb))
-        }
-        ITerm::Sub(a, b) => {
-            let (ma, ka) = poly(a)?;
-            let (mb, kb) = poly(b)?;
-            Some((merge(ma, mb, -1), ka - kb))
-        }
-        ITerm::Neg(a) => {
-            let (ma, ka) = poly(a)?;
-            Some((scale(ma, -1), -ka))
-        }
-        ITerm::Mul(a, b) => {
-            let pa = poly(a)?;
-            let pb = poly(b)?;
-            if pa.0.is_empty() {
-                Some((scale(pb.0, pa.1), pa.1 * pb.1))
-            } else if pb.0.is_empty() {
-                Some((scale(pa.0, pb.1), pa.1 * pb.1))
-            } else {
-                None
-            }
-        }
-        ITerm::Div(_, _) | ITerm::Mod(_, _) | ITerm::Select(_, _) | ITerm::Len(_) => None,
     }
 }
 
-fn merge(
-    mut a: BTreeMap<String, i128>,
-    b: BTreeMap<String, i128>,
-    sign: i128,
-) -> BTreeMap<String, i128> {
-    for (k, v) in b {
-        let e = a.entry(k).or_insert(0);
-        *e += sign * v;
-    }
-    a.retain(|_, v| *v != 0);
-    a
+/// One atom of the DNF table: borrowed from the body, classified once.
+struct TableAtom<'a> {
+    rel: Rel,
+    lhs: &'a ITerm,
+    rhs: &'a ITerm,
+    occurrence: Occurrence,
 }
 
-fn scale(mut a: BTreeMap<String, i128>, s: i128) -> BTreeMap<String, i128> {
-    if s == 0 {
-        return BTreeMap::new();
-    }
-    for v in a.values_mut() {
-        *v *= s;
-    }
-    a
+/// The DNF of an elimination body: one table of its atoms, and the cubes
+/// as index lists into it.
+struct Dnf<'a> {
+    atoms: Vec<TableAtom<'a>>,
+    cubes: Vec<Vec<u32>>,
 }
 
-/// A literal in a cube: an atom known to hold.
-type Atom = (Rel, ITerm, ITerm);
+impl Dnf<'_> {
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.cubes.len()
+    }
+}
 
 /// Converts an NNF formula into DNF cubes, splitting `Ne` atoms that
 /// mention `x` into `< ∨ >`. Returns `None` on blowup or when `x` occurs
 /// in a non-linear position.
-fn dnf_cubes(x: &str, b: &BTerm) -> Option<Vec<Vec<Atom>>> {
+fn dnf_cubes<'a>(x: &str, b: &'a BTerm) -> Option<Dnf<'a>> {
+    let mut atoms = Vec::new();
+    let cubes = cubes_of(x, b, &mut atoms)?;
+    Some(Dnf { atoms, cubes })
+}
+
+fn cubes_of<'a>(x: &str, b: &'a BTerm, atoms: &mut Vec<TableAtom<'a>>) -> Option<Vec<Vec<u32>>> {
     match b {
         BTerm::True => Some(vec![vec![]]),
         BTerm::False => Some(vec![]),
         BTerm::Atom(rel, lhs, rhs) => {
-            let mut vars = BTreeSet::new();
-            term_vars(lhs, &mut vars);
-            term_vars(rhs, &mut vars);
-            if vars.contains(x) {
-                // x must appear linearly (over base terms) to be eliminable,
-                // and must not hide inside an opaque base term.
-                let diff = lhs.clone().sub(rhs.clone());
-                let (m, _) = poly_terms(&diff)?;
-                let mut m2 = m.clone();
-                m2.remove(&ITerm::Var(x.to_string()));
-                if keys_mentioning(&m2, x) {
-                    return None;
-                }
-                if *rel == Rel::Ne {
-                    return Some(vec![
-                        vec![(Rel::Lt, lhs.clone(), rhs.clone())],
-                        vec![(Rel::Gt, lhs.clone(), rhs.clone())],
-                    ]);
-                }
+            let solved = solve_for(x, lhs, rhs)?;
+            let mut leaf = |rel| {
+                atoms.push(TableAtom {
+                    rel,
+                    lhs,
+                    rhs,
+                    occurrence: Occurrence::of(rel, &solved),
+                });
+                vec![atoms.len() as u32 - 1]
+            };
+            if *rel == Rel::Ne && !matches!(solved, Solved::Free) {
+                Some(vec![leaf(Rel::Lt), leaf(Rel::Gt)])
+            } else {
+                Some(vec![leaf(*rel)])
             }
-            Some(vec![vec![(*rel, lhs.clone(), rhs.clone())]])
         }
         BTerm::Or(a, c) => {
-            let mut cubes = dnf_cubes(x, a)?;
-            cubes.extend(dnf_cubes(x, c)?);
+            let mut cubes = cubes_of(x, a, atoms)?;
+            cubes.extend(cubes_of(x, c, atoms)?);
             if cubes.len() > MAX_CUBES {
                 None
             } else {
@@ -450,16 +438,17 @@ fn dnf_cubes(x: &str, b: &BTerm) -> Option<Vec<Vec<Atom>>> {
             }
         }
         BTerm::And(a, c) => {
-            let left = dnf_cubes(x, a)?;
-            let right = dnf_cubes(x, c)?;
-            let mut cubes = Vec::new();
+            let left = cubes_of(x, a, atoms)?;
+            let right = cubes_of(x, c, atoms)?;
+            let mut cubes = Vec::with_capacity(left.len() * right.len());
             for l in &left {
                 for r in &right {
-                    let mut cube = l.clone();
-                    cube.extend(r.iter().cloned());
-                    if cube.len() > MAX_CUBE_LITERALS {
+                    if l.len() + r.len() > MAX_CUBE_LITERALS {
                         return None;
                     }
+                    let mut cube = Vec::with_capacity(l.len() + r.len());
+                    cube.extend_from_slice(l);
+                    cube.extend_from_slice(r);
                     cubes.push(cube);
                 }
             }
@@ -476,55 +465,42 @@ fn dnf_cubes(x: &str, b: &BTerm) -> Option<Vec<Vec<Atom>>> {
 
 /// Exact elimination of `∃x` from a single cube whose `x`-coefficients are
 /// all `±1`. Returns `None` when a coefficient is not `±1`.
-fn elim_cube(x: &str, cube: &[Atom]) -> Option<BTerm> {
-    let mut lowers: Vec<ITerm> = Vec::new(); // x ≥ t
-    let mut uppers: Vec<ITerm> = Vec::new(); // x ≤ t
-    let mut rest: Vec<Atom> = Vec::new();
-    for (i, (rel, lhs, rhs)) in cube.iter().enumerate() {
-        let mut vars = BTreeSet::new();
-        term_vars(lhs, &mut vars);
-        term_vars(rhs, &mut vars);
-        if !vars.contains(x) {
-            rest.push((*rel, lhs.clone(), rhs.clone()));
-            continue;
-        }
-        let diff = lhs.clone().sub(rhs.clone());
-        let (mut m, k) = poly_terms(&diff)?;
-        let c = m.remove(&ITerm::Var(x.to_string()))?;
-        if c.abs() != 1 || keys_mentioning(&m, x) {
-            return None;
-        }
-        // c·x + R + k  rel  0, with R = unpoly(m).
-        // If c = 1:  x  rel  -(R + k);  if c = -1:  x  flip(rel)  (R + k).
-        let bound = if c == 1 {
-            unpoly_terms(&scale_terms(m, -1), -k)
-        } else {
-            unpoly_terms(&m, k)
-        };
-        let rel = if c == 1 { *rel } else { flipped_by_sign(*rel) };
-        match rel {
-            Rel::Le => uppers.push(bound),
-            Rel::Lt => uppers.push(bound.sub(ITerm::Const(1))),
-            Rel::Ge => lowers.push(bound),
-            Rel::Gt => lowers.push(bound.add(ITerm::Const(1))),
-            Rel::Eq => {
+fn elim_cube(x: &str, table: &[TableAtom<'_>], cube: &[u32]) -> Option<BTerm> {
+    let mut lowers: Vec<&ITerm> = Vec::new(); // x ≥ t
+    let mut uppers: Vec<&ITerm> = Vec::new(); // x ≤ t
+    let mut rest: Vec<&TableAtom<'_>> = Vec::new();
+    for (i, &a) in cube.iter().enumerate() {
+        let atom = &table[a as usize];
+        match &atom.occurrence {
+            Occurrence::Free => rest.push(atom),
+            Occurrence::NonUnit => return None,
+            Occurrence::Upper(t) => uppers.push(t),
+            Occurrence::Lower(t) => lowers.push(t),
+            Occurrence::Eq(bound) => {
                 // One-point within the cube: x = bound. Substituting into
                 // every *other* atom removes x from the whole cube (bound is
                 // x-free because its linear view had x removed).
                 let conj = BTerm::conj(cube.iter().enumerate().filter(|(j, _)| *j != i).map(
-                    |(_, (r2, l2, r2t))| {
-                        BTerm::Atom(*r2, subst_term(l2, x, &bound), subst_term(r2t, x, &bound))
+                    |(_, &b)| {
+                        let other = &table[b as usize];
+                        BTerm::Atom(
+                            other.rel,
+                            subst_term(other.lhs, x, bound),
+                            subst_term(other.rhs, x, bound),
+                        )
                     },
                 ));
                 return Some(conj);
             }
-            Rel::Ne => return None, // should have been split by dnf_cubes
         }
     }
     // ∃x over ℤ with unit bounds: all lower ≤ all upper.
-    let mut out = BTerm::conj(rest.into_iter().map(|(r, l, rr)| BTerm::Atom(r, l, rr)));
-    for lo in &lowers {
-        for hi in &uppers {
+    let mut out = BTerm::conj(
+        rest.into_iter()
+            .map(|a| BTerm::Atom(a.rel, a.lhs.clone(), a.rhs.clone())),
+    );
+    for &lo in &lowers {
+        for &hi in &uppers {
             out = out.and(BTerm::Atom(Rel::Le, lo.clone(), hi.clone()));
         }
     }
@@ -546,10 +522,10 @@ fn flipped_by_sign(rel: Rel) -> Rel {
 
 /// Tries exact elimination of `∃x. body` (body in NNF, quantifier-free).
 fn try_exact_exists(x: &str, body: &BTerm) -> Option<BTerm> {
-    let cubes = dnf_cubes(x, body)?;
+    let dnf = dnf_cubes(x, body)?;
     let mut out = BTerm::False;
-    for cube in &cubes {
-        out = out.or(elim_cube(x, cube)?);
+    for cube in &dnf.cubes {
+        out = out.or(elim_cube(x, &dnf.atoms, cube)?);
     }
     Some(out)
 }
@@ -566,27 +542,15 @@ fn instantiation_candidates(
     let mut atoms = Vec::new();
     collect_atoms(body, &mut atoms);
     let mut candidates: Vec<ITerm> = Vec::new();
-    for (_, lhs, rhs) in &atoms {
-        let mut vars = BTreeSet::new();
-        term_vars(lhs, &mut vars);
-        term_vars(rhs, &mut vars);
-        if !vars.contains(x) {
-            continue;
-        }
-        let diff = lhs.clone().sub(rhs.clone());
-        if let Some((mut m, k)) = poly_terms(&diff) {
-            if let Some(c) = m.remove(&ITerm::Var(x.to_string())) {
-                if c.abs() == 1 && !keys_mentioning(&m, x) {
-                    let bound = if c == 1 {
-                        unpoly_terms(&scale_terms(m, -1), -k)
-                    } else {
-                        unpoly_terms(&m, k)
-                    };
-                    candidates.push(bound.clone().sub(ITerm::Const(1)));
-                    candidates.push(bound.clone());
-                    candidates.push(bound.add(ITerm::Const(1)));
-                }
+    for (lhs, rhs) in atoms {
+        match solve_for(x, lhs, rhs) {
+            Some(Solved::Free) => continue,
+            Some(Solved::Unit { bound, .. }) => {
+                candidates.push(bound.clone().sub(ITerm::Const(1)));
+                candidates.push(bound.clone());
+                candidates.push(bound.add(ITerm::Const(1)));
             }
+            Some(Solved::NonUnit) | None => {}
         }
         if candidates.len() >= MAX_INSTANTIATION_CANDIDATES {
             break;
@@ -595,14 +559,8 @@ fn instantiation_candidates(
     let mut arrays = BTreeSet::new();
     arrays_indexed_by(body, x, &mut arrays);
     for arr in arrays {
-        if let Some(terms) = pool.get(&arr) {
-            for t in terms {
-                let mut vars = BTreeSet::new();
-                term_vars(t, &mut vars);
-                if !vars.contains(x) {
-                    candidates.push(t.clone());
-                }
-            }
+        if let Some(terms) = pool.get(arr) {
+            candidates.extend(terms.iter().filter(|t| !mentions(t, x)).cloned());
         }
     }
     candidates.push(ITerm::Const(0));
@@ -633,9 +591,7 @@ fn collect_select_pool(
             ITerm::Neg(a) => term(a, bound, pool),
             ITerm::Select(arr, idx) => {
                 term(idx, bound, pool);
-                let mut vars = BTreeSet::new();
-                term_vars(idx, &mut vars);
-                if vars.is_disjoint(bound) {
+                if !term_mentions(idx, &|v| bound.contains(v)) {
                     let entry = pool.entry(arr.clone()).or_default();
                     if !entry.contains(idx) && entry.len() < 16 {
                         entry.push((**idx).clone());
@@ -665,9 +621,9 @@ fn collect_select_pool(
     }
 }
 
-/// Arrays read at exactly the variable `x` inside `b`.
-fn arrays_indexed_by(b: &BTerm, x: &str, out: &mut BTreeSet<String>) {
-    fn term(t: &ITerm, x: &str, out: &mut BTreeSet<String>) {
+/// Arrays read at an index that mentions the variable `x` inside `b`.
+fn arrays_indexed_by<'a>(b: &'a BTerm, x: &str, out: &mut BTreeSet<&'a str>) {
+    fn term<'a>(t: &'a ITerm, x: &str, out: &mut BTreeSet<&'a str>) {
         match t {
             ITerm::Const(_) | ITerm::Var(_) | ITerm::Len(_) => {}
             ITerm::Add(a, b)
@@ -680,10 +636,8 @@ fn arrays_indexed_by(b: &BTerm, x: &str, out: &mut BTreeSet<String>) {
             }
             ITerm::Neg(a) => term(a, x, out),
             ITerm::Select(arr, idx) => {
-                let mut vars = BTreeSet::new();
-                term_vars(idx, &mut vars);
-                if vars.contains(x) {
-                    out.insert(arr.clone());
+                if mentions(idx, x) {
+                    out.insert(arr);
                 }
                 term(idx, x, out);
             }
@@ -708,9 +662,10 @@ fn arrays_indexed_by(b: &BTerm, x: &str, out: &mut BTreeSet<String>) {
     }
 }
 
-fn collect_atoms(b: &BTerm, out: &mut Vec<Atom>) {
+/// The atoms of `b` as borrowed `(lhs, rhs)` pairs, in order.
+fn collect_atoms<'a>(b: &'a BTerm, out: &mut Vec<(&'a ITerm, &'a ITerm)>) {
     match b {
-        BTerm::Atom(rel, lhs, rhs) => out.push((*rel, lhs.clone(), rhs.clone())),
+        BTerm::Atom(_, lhs, rhs) => out.push((lhs, rhs)),
         BTerm::And(a, c) | BTerm::Or(a, c) | BTerm::Implies(a, c) => {
             collect_atoms(a, out);
             collect_atoms(c, out);

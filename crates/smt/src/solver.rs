@@ -42,7 +42,14 @@ use crate::cnf::CnfBuilder;
 /// asserted as their literals are assigned and the rational simplex
 /// check runs on partial assignments, so conflicts are found earlier,
 /// which again changes the search order and the reported countermodels.
-pub const SOLVER_VERSION: u32 = 4;
+///
+/// Version 5: exact quantifier elimination no longer narrows a bound's
+/// constants and coefficients from `i128` to `i64` with a wrapping cast.
+/// When a value does not fit, it falls back to skolemization. The old
+/// narrowing could wrap a large bound into a small one and prove invalid
+/// goals `Valid`, so verdicts stored by earlier versions must not be
+/// replayed.
+pub const SOLVER_VERSION: u32 = 5;
 use crate::ground::groundify;
 use crate::linear::{BoundKind, IneqAtom, LinForm, VarId};
 use crate::preprocess::{eliminate_quantifiers, FreshNames};
@@ -546,6 +553,9 @@ impl SessionTheory {
 struct SessionCheck<'a> {
     atoms: &'a [Option<IneqAtom>],
     st: &'a mut SessionTheory,
+    /// Per SAT variable: its atom's simplex column, looked up the first
+    /// time the atom is asserted in this check.
+    columns: Vec<Option<VarId>>,
     /// Trail literals fed so far (atoms or not).
     fed: usize,
     /// The asserted atom literals with their trail positions. Entry `t`
@@ -567,6 +577,7 @@ impl<'a> SessionCheck<'a> {
         SessionCheck {
             atoms,
             st,
+            columns: vec![None; atoms.len()],
             fed: 0,
             asserted: Vec::new(),
             pending: None,
@@ -600,7 +611,8 @@ impl Theory for SessionCheck<'_> {
         if self.pending.is_some() {
             return true;
         }
-        let column = self.st.column(&atom.form);
+        let column =
+            *self.columns[lit.var() as usize].get_or_insert_with(|| self.st.column(&atom.form));
         // The negation of `f ≤ b` is `f ≥ b + 1`, and dually.
         let (kind, bound) = match (atom.kind, lit.is_positive()) {
             (kind, true) => (kind, atom.bound),
@@ -1047,6 +1059,40 @@ mod tests {
         }
         session.pop();
         assert!(matches!(session.check_sat(), SmtResult::Sat(_)));
+    }
+
+    /// `C·C` for a `C` whose square exceeds `i64::MAX`.
+    fn square_past_i64() -> ITerm {
+        ITerm::Const(3_037_000_500).mul(ITerm::Const(3_037_000_500))
+    }
+
+    #[test]
+    fn exact_elimination_does_not_wrap_large_bounds() {
+        // (∃x. x ≤ C·C ∧ x ≥ y) ⇒ y ≠ 0 is refuted by y = 0. Narrowing the
+        // eliminated bound C·C to i64 would wrap it negative and prove it.
+        let hyp = x().le(square_past_i64()).and(x().ge(y())).exists("x");
+        let phi = hyp.implies(y().rel(Rel::Ne, ITerm::Const(0)));
+        match solver().check_valid(&phi) {
+            Validity::Invalid(model) => {
+                let y = model.get("y").expect("y in the countermodel");
+                assert_eq!(y, 0);
+            }
+            other => panic!("expected a countermodel, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn large_bound_agrees_with_its_quantifier_free_form() {
+        // y ≤ C·C ⇒ y ≠ 0, the eliminated form of the goal above.
+        let phi = y()
+            .le(square_past_i64())
+            .implies(y().rel(Rel::Ne, ITerm::Const(0)));
+        assert!(matches!(solver().check_valid(&phi), Validity::Invalid(_)));
+        // With a bound that fits, the quantified goal stays refuted too.
+        let small = ITerm::Const(5).mul(ITerm::Const(5));
+        let hyp = x().le(small).and(x().ge(y())).exists("x");
+        let phi = hyp.implies(y().rel(Rel::Ne, ITerm::Const(0)));
+        assert!(matches!(solver().check_valid(&phi), Validity::Invalid(_)));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Differential tests: the DPLL(T) pipeline against brute-force
-//! enumeration on random quantifier-free linear formulas, and the CDCL
+//! enumeration on random quantifier-free linear formulas, exact
+//! quantifier elimination against enumeration of the bound variable, and
+//! the CDCL
 //! core — alone, with a theory consulted on complete assignments, and
 //! with a theory fed incrementally along the trail — against truth-table
 //! enumeration on random CNFs.
@@ -10,6 +12,7 @@
 
 use relaxed_interp::rng::SplitMix64;
 use relaxed_smt::ast::{BTerm, ITerm, Rel};
+use relaxed_smt::preprocess::{eliminate_quantifiers, formula_vars, FreshNames};
 use relaxed_smt::sat::{BVar, Lit, SatOutcome, SatSolver, SatStats, Theory, TheoryVerdict};
 use relaxed_smt::{SmtResult, Solver};
 
@@ -183,6 +186,147 @@ fn excluded_middle() {
             "case {case}: {b:?}"
         );
     }
+}
+
+/// Factors whose pairwise products exceed `i64::MAX` in magnitude.
+const BIG_FACTORS: &[i64] = &[3_037_000_500, -3_037_000_500, 4_000_000_000];
+/// The range the quantified `x` is boxed into, and enumerated over.
+const QE_X: std::ops::RangeInclusive<i64> = -20..=20;
+/// The range of the free variables `y` and `z`.
+const QE_FREE: std::ops::RangeInclusive<i64> = -3..=3;
+
+/// `c ± y ± z` with a small constant `c`, or with `c` a product of two
+/// [`BIG_FACTORS`] in one side of three when `big`.
+fn gen_qe_side(rng: &mut SplitMix64, big: bool) -> ITerm {
+    let pick = |rng: &mut SplitMix64| BIG_FACTORS[rng.gen_u32_below(3) as usize];
+    let mut acc = if big && rng.gen_u32_below(3) == 0 {
+        ITerm::Const(pick(rng)).mul(ITerm::Const(pick(rng)))
+    } else {
+        ITerm::Const(rng.gen_range(-5..=5))
+    };
+    for name in ["y", "z"] {
+        match rng.gen_u32_below(3) {
+            0 => {}
+            1 => acc = acc.add(ITerm::var(name)),
+            _ => acc = acc.sub(ITerm::var(name)),
+        }
+    }
+    acc
+}
+
+/// An atom that mentions `x` with coefficient ±1 three times in four.
+fn gen_qe_atom(rng: &mut SplitMix64, big: bool) -> BTerm {
+    let x = ITerm::var("x");
+    let with_x = match rng.gen_u32_below(4) {
+        0 => x,
+        1 => ITerm::Neg(Box::new(x)),
+        2 => x.add(gen_qe_side(rng, big)),
+        _ => gen_qe_side(rng, big),
+    };
+    let other = gen_qe_side(rng, big);
+    if rng.gen_bool() {
+        BTerm::Atom(gen_rel(rng), with_x, other)
+    } else {
+        BTerm::Atom(gen_rel(rng), other, with_x)
+    }
+}
+
+/// Random unit-coefficient formulas φ(x, y, z), depth ≤ 2.
+fn gen_qe_formula(rng: &mut SplitMix64, depth: u32, big: bool) -> BTerm {
+    if depth == 0 || rng.gen_u32_below(3) == 0 {
+        return gen_qe_atom(rng, big);
+    }
+    let (a, b) = (
+        gen_qe_formula(rng, depth - 1, big),
+        gen_qe_formula(rng, depth - 1, big),
+    );
+    match rng.gen_u32_below(4) {
+        0 => BTerm::And(Box::new(a), Box::new(b)),
+        1 => BTerm::Or(Box::new(a), Box::new(b)),
+        2 => BTerm::Implies(Box::new(a), Box::new(b)),
+        _ => BTerm::Not(Box::new(a)),
+    }
+}
+
+/// Whether the quantifier-free `b` holds at `y`, `z`. Formulas over `y`
+/// and `z` alone are evaluated; skolem constants left by elimination are
+/// existential, so those go to the solver with `y` and `z` fixed.
+fn qe_result_holds(b: &BTerm, y: i64, z: i64) -> bool {
+    let mut vars = std::collections::BTreeSet::new();
+    formula_vars(b, &mut vars);
+    if vars.iter().all(|v| v == "y" || v == "z") {
+        let env = |name: &str| i128::from(if name == "y" { y } else { z });
+        return eval_formula(b, &env);
+    }
+    let fixed = b
+        .clone()
+        .and(ITerm::var("y").eq_term(ITerm::Const(y)))
+        .and(ITerm::var("z").eq_term(ITerm::Const(z)));
+    match Solver::new().check_sat(&fixed) {
+        SmtResult::Sat(_) => true,
+        SmtResult::Unsat => false,
+        SmtResult::Unknown(reason) => panic!("unknown on a quantifier-free problem: {reason}"),
+    }
+}
+
+/// Exact quantifier elimination against enumeration of `x`: whenever
+/// `eliminate_quantifiers` claims completeness for `∃x. box ∧ φ` or
+/// `∀x. box ⇒ φ` (with `x` boxed into [`QE_X`]), its result must agree
+/// with brute force at every `(y, z)`. One round in three draws constants
+/// that are products past `i64`, so an eliminated bound that narrowed
+/// such a constant would wrap to a different value and disagree.
+#[test]
+fn quantifier_elimination_matches_brute_force() {
+    let mut rng = SplitMix64::seed_from_u64(0x5EED_0003);
+    let x = || ITerm::var("x");
+    let in_box = x()
+        .ge(ITerm::Const(*QE_X.start()))
+        .and(x().le(ITerm::Const(*QE_X.end())));
+    let (mut checked, mut checked_big) = (0, 0);
+    for round in 0..240 {
+        let big = round % 3 == 0;
+        let exists = round % 2 == 0;
+        let phi = gen_qe_formula(&mut rng, 2, big);
+        let quantified = if exists {
+            in_box.clone().and(phi.clone()).exists("x")
+        } else {
+            in_box.clone().implies(phi.clone()).forall("x")
+        };
+        let qe = eliminate_quantifiers(&quantified, &mut FreshNames::new());
+        if qe.incomplete {
+            continue;
+        }
+        for y in QE_FREE {
+            for z in QE_FREE {
+                let env = |name: &str, xv: i64| {
+                    i128::from(match name {
+                        "x" => xv,
+                        "y" => y,
+                        "z" => z,
+                        other => panic!("unknown variable {other}"),
+                    })
+                };
+                let mut values = QE_X.map(|xv| eval_formula(&phi, &|n| env(n, xv)));
+                let expected = if exists {
+                    values.any(|v| v)
+                } else {
+                    values.all(|v| v)
+                };
+                assert_eq!(
+                    qe_result_holds(&qe.formula, y, z),
+                    expected,
+                    "round {round} at y = {y}, z = {z}: {quantified:?}\n  eliminated to {:?}",
+                    qe.formula
+                );
+            }
+        }
+        checked += 1;
+        checked_big += usize::from(big);
+    }
+    assert!(
+        checked >= 160 && checked_big >= 40,
+        "only {checked} complete eliminations ({checked_big} with large constants)"
+    );
 }
 
 /// Random 3-CNF against truth-table enumeration.

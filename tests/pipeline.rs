@@ -190,3 +190,25 @@ fn failure_diagnostics_are_actionable() {
         other => panic!("expected a counterexample, got {other:?}"),
     }
 }
+
+/// A quantified precondition whose eliminated bound overflows `i64`
+/// (`3037000500² > i64::MAX`) must not wrap into a different bound: the
+/// post `y != 0` fails at `y = 0`, exactly as it does with a small bound.
+#[test]
+fn large_bound_in_quantified_precondition_is_refuted() {
+    let program = parse_program("skip;").unwrap();
+    for bound in ["3037000500 * 3037000500", "5 * 5"] {
+        let pre = parse_formula(&format!("exists x . (x <= {bound} && x >= y)")).unwrap();
+        let spec = unary_spec(pre, parse_formula("y != 0").unwrap());
+        let report = Verifier::new()
+            .stage(Stage::Original)
+            .check(&program, &spec)
+            .unwrap();
+        assert_eq!(report.len(), 1, "{bound}: one VC");
+        let failure = report.failures().next();
+        match failure.map(|f| &f.verdict) {
+            Some(relaxed_programs::smt::Validity::Invalid(_)) => {}
+            other => panic!("{bound}: expected a counterexample, got {other:?}"),
+        }
+    }
+}

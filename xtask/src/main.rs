@@ -230,6 +230,60 @@ fn ci() {
     );
     let _ = std::fs::remove_file(&shard_cache);
     ci_service();
+    ci_relbench();
+}
+
+/// The relbench-oracle CI job's local mirror: the benchmark's own tests
+/// (its verdict oracle over generated variants), then a traced 5 s
+/// `cold_corpus` run that must print its counter-determinism line and end
+/// with `"correct": true`.
+fn ci_relbench() {
+    run_step(
+        &[
+            "cargo",
+            "test",
+            "--release",
+            "--manifest-path",
+            "relbench/Cargo.toml",
+        ],
+        &[],
+    );
+    let argv = [
+        "bash",
+        "relbench/run.sh",
+        "--workload",
+        "cold_corpus",
+        "--seed",
+        "1",
+        "--seconds",
+        "5",
+        "--trace",
+        "1",
+    ];
+    eprintln!("xtask> {}", argv.join(" "));
+    let output = Command::new(argv[0])
+        .args(&argv[1..])
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .unwrap_or_else(|e| panic!("failed to spawn `bash`: {e}"));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    print!("{stdout}");
+    if !output.status.success() {
+        eprintln!("xtask: relbench cold_corpus failed ({})", output.status);
+        exit(output.status.code().unwrap_or(1));
+    }
+    if !stdout.lines().any(|l| l.starts_with("determinism: ")) {
+        eprintln!("xtask: relbench printed no determinism line");
+        exit(1);
+    }
+    if !stdout
+        .lines()
+        .last()
+        .is_some_and(|l| l.contains("\"correct\": true"))
+    {
+        eprintln!("xtask: relbench did not report correct verdicts");
+        exit(1);
+    }
 }
 
 /// The service-corpus CI job's local mirror: start a `relaxed-serviced`
@@ -671,7 +725,7 @@ fn main() {
         _ => {
             eprintln!("usage: cargo xtask <ci|verify|bench-json|bench-check>");
             eprintln!(
-                "  ci          fmt + clippy + build --release + doc + test (6 schedules) + examples + sharded/service corpus + edit-reverify + trace-smoke jobs + bench --no-run"
+                "  ci          fmt + clippy + build --release + doc + test (6 schedules) + examples + sharded/service corpus + edit-reverify + trace-smoke + relbench-oracle jobs + bench --no-run"
             );
             eprintln!("  verify      the ROADMAP tier-1 gate: build --release && test -q");
             eprintln!(
