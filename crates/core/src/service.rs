@@ -49,11 +49,11 @@
 //! Results may interleave across a connection's pipelined jobs and across
 //! connections; every frame carries the job id, and the client collects
 //! out-of-order. A worker crash mid-job is retried daemon-side on a
-//! freshly spawned replacement (bounded by [`MAX_ATTEMPTS`], exactly like
-//! the shard coordinator); a client disconnect mid-job merely discards
-//! that job's result write — the worker is returned to the fleet and the
-//! admission slot is released, so one flaky client can never wedge the
-//! fleet.
+//! freshly spawned replacement, handed straight to the retrying job
+//! (bounded by [`MAX_ATTEMPTS`], exactly like the shard coordinator); a
+//! client disconnect mid-job merely discards that job's result write —
+//! the worker is returned to the fleet and the admission slot is
+//! released, so one flaky client can never wedge the fleet.
 //!
 //! [`CorpusPolicy::Service`]: crate::api::CorpusPolicy::Service
 //! [`CorpusReport`]: crate::api::CorpusReport
@@ -199,11 +199,13 @@ impl Daemon {
         self.signal.notify_all();
     }
 
-    /// Replaces a killed worker with a freshly spawned one, shrinking the
-    /// fleet (loudly) when the spawn fails.
-    fn respawn(&self) {
+    /// Replaces a killed worker with a freshly spawned one, handed to the
+    /// caller rather than to the idle fleet, so the job that lost the
+    /// old worker retries on the new one. Shrinks the fleet (loudly)
+    /// when the spawn fails.
+    fn respawn(&self) -> Option<WorkerHandle> {
         match WorkerHandle::spawn(&self.binary, &self.config_frame, self.config.ready_timeout) {
-            Ok(worker) => self.checkin(worker),
+            Ok(worker) => Some(worker),
             Err(e) => {
                 let mut state = self.state.lock().expect("service state");
                 state.alive -= 1;
@@ -213,6 +215,7 @@ impl Daemon {
                 crate::diag::warn(format_args!(
                     "{SERVICE_BINARY}: failed to respawn a fleet worker ({alive} left): {e}"
                 ));
+                None
             }
         }
     }
@@ -224,10 +227,16 @@ impl Daemon {
         let job_started = Instant::now();
         let mut attempts = 0u32;
         let mut last_error = String::new();
+        // The replacement for a worker this job killed: the retry runs on
+        // it, not on whichever worker the idle fleet offers next.
+        let mut replacement = None;
         while attempts < MAX_ATTEMPTS {
-            let mut worker = match self.checkout() {
-                Ok(worker) => worker,
-                Err(e) => return render_error_frame(id, &e),
+            let mut worker = match replacement.take() {
+                Some(worker) => worker,
+                None => match self.checkout() {
+                    Ok(worker) => worker,
+                    Err(e) => return render_error_frame(id, &e),
+                },
             };
             attempts += 1;
             match relay_job(&mut worker, id, line, self.config.job_timeout) {
@@ -248,9 +257,12 @@ impl Daemon {
                     // the shard coordinator.
                     last_error = e;
                     worker.kill();
-                    self.respawn();
+                    replacement = self.respawn();
                 }
             }
+        }
+        if let Some(worker) = replacement {
+            self.checkin(worker);
         }
         render_error_frame(
             id,

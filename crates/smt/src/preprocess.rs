@@ -2,6 +2,16 @@
 //! exact elimination for unit-coefficient quantifiers, skolemization, and
 //! sound finite instantiation as a last resort.
 //!
+//! Which rewrite an `∃` gets depends on its position in the NNF of the
+//! satisfiability query. An `∃` under no `∀` is skolemized at once: a
+//! fresh constant and one substitution walk, exact and with no DNF. The
+//! VCs of `relax` statements and loop rules reach the solver negated, so
+//! their quantifiers over new values are of this kind. An `∃` under a
+//! `∀` can depend on the `∀` variable, so a constant would strengthen the
+//! query. It gets exact elimination, or stays pending until the `∀` is
+//! instantiated, and is then skolemized once per instance. Exact
+//! elimination also serves the dual `∃x.¬B` of every `∀x.B`.
+//!
 //! The pipeline's contract is *soundness for UNSAT*: every rewrite either
 //! preserves satisfiability exactly, or weakens the formula (admits more
 //! models) and sets the `incomplete` flag. An `Unsat` verdict on the
@@ -533,7 +543,9 @@ fn try_exact_exists(x: &str, body: &BTerm) -> Option<BTerm> {
 /// Candidate ground terms for instantiating `∀x. body`: bound terms solved
 /// out of atoms that mention `x` with coefficient `±1` (each ±1), ground
 /// indices of arrays that `body` reads at `x` (drawn from the whole
-/// problem's `pool`), plus 0.
+/// problem's `pool`), plus 0. A bound that mentions a variable bound
+/// inside `body` (by a pending ∃) is no candidate: substituted into
+/// `body`, it would be captured by its binder.
 fn instantiation_candidates(
     x: &str,
     body: &BTerm,
@@ -541,10 +553,14 @@ fn instantiation_candidates(
 ) -> Vec<ITerm> {
     let mut atoms = Vec::new();
     collect_atoms(body, &mut atoms);
+    let mut binders = Vec::new();
+    collect_binders(body, &mut binders);
     let mut candidates: Vec<ITerm> = Vec::new();
     for (lhs, rhs) in atoms {
         match solve_for(x, lhs, rhs) {
             Some(Solved::Free) => continue,
+            Some(Solved::Unit { bound, .. })
+                if term_mentions(&bound, &|v| binders.contains(&v)) => {}
             Some(Solved::Unit { bound, .. }) => {
                 candidates.push(bound.clone().sub(ITerm::Const(1)));
                 candidates.push(bound.clone());
@@ -676,6 +692,22 @@ fn collect_atoms<'a>(b: &'a BTerm, out: &mut Vec<(&'a ITerm, &'a ITerm)>) {
     }
 }
 
+/// The variables bound by the quantifiers of `b`.
+fn collect_binders<'a>(b: &'a BTerm, out: &mut Vec<&'a str>) {
+    match b {
+        BTerm::True | BTerm::False | BTerm::Atom(_, _, _) => {}
+        BTerm::And(a, c) | BTerm::Or(a, c) | BTerm::Implies(a, c) => {
+            collect_binders(a, out);
+            collect_binders(c, out);
+        }
+        BTerm::Not(a) => collect_binders(a, out),
+        BTerm::Exists(x, a) | BTerm::Forall(x, a) => {
+            out.push(x);
+            collect_binders(a, out);
+        }
+    }
+}
+
 /// The result of quantifier elimination.
 #[derive(Clone, Debug)]
 pub struct QfResult {
@@ -690,19 +722,30 @@ pub struct QfResult {
 /// top-level free variables are implicitly existential).
 ///
 /// Strategy, top-down on the NNF:
-/// 1. `∃x`: try exact unit-coefficient elimination (via DNF); otherwise
-///    skolemize `x` to a fresh constant (exact — in NNF with the
-///    weakening ∀-instantiation applied outer-first, every ∃ sits under
-///    only ∧/∨).
-/// 2. `∀x`: `∀x.B ≡ ¬∃x.¬B`; try exact elimination of the dual; otherwise
-///    instantiate finitely (weakening, sets `incomplete`).
+/// 1. `∃x` under no `∀`: skolemize `x` to a fresh constant at once. This
+///    is exact, since such an ∃ sits under only ∧/∨ (and, in phase 2,
+///    under ∀s that were already instantiated away).
+/// 2. `∃x` under a `∀`: try exact unit-coefficient elimination (via
+///    DNF); otherwise leave the ∃ pending inside its ∀. A constant would
+///    ignore the ∀ variables the witness may depend on and strengthen
+///    the query.
+/// 3. `∀x`: `∀x.B ≡ ¬∃x.¬B`; try exact elimination of the dual;
+///    otherwise leave the ∀ pending until phase 2, which instantiates it
+///    finitely (weakening, sets `incomplete`) and eliminates each
+///    instance at the ∀'s own position, so a pending ∃ inside is
+///    skolemized once per instance.
 pub fn eliminate_quantifiers(b: &BTerm, fresh: &mut FreshNames) -> QfResult {
     let normal = nnf(b, false);
     let mut incomplete = false;
-    // Phase 1: exact eliminations and skolemization only — pending ∀s are
-    // left in place so phase 2 can see the skolem constants they must be
-    // instantiated with.
-    let phase1 = elim(&normal, fresh, &mut incomplete, 0, None);
+    // Phase 1: exact eliminations and skolemization only — pending ∀s (and
+    // the ∃s pending under them) are left in place so phase 2 can see the
+    // skolem constants they must be instantiated with.
+    let phase1 = Elim {
+        fresh,
+        incomplete: &mut incomplete,
+        pool: None,
+    }
+    .run(&normal, 0, false);
     if is_quantifier_free(&phase1) {
         return QfResult {
             formula: phase1,
@@ -713,7 +756,12 @@ pub fn eliminate_quantifiers(b: &BTerm, fresh: &mut FreshNames) -> QfResult {
     // ground select indices (array-driven triggers) and atom bounds.
     let mut pool = BTreeMap::new();
     collect_select_pool(&phase1, &mut BTreeSet::new(), &mut pool);
-    let formula = elim(&phase1, fresh, &mut incomplete, 0, Some(&pool));
+    let formula = Elim {
+        fresh,
+        incomplete: &mut incomplete,
+        pool: Some(&pool),
+    }
+    .run(&phase1, 0, false);
     QfResult {
         formula,
         incomplete,
@@ -733,69 +781,69 @@ fn is_quantifier_free(b: &BTerm) -> bool {
 
 const MAX_DEPTH: usize = 64;
 
-fn elim(
-    b: &BTerm,
-    fresh: &mut FreshNames,
-    incomplete: &mut bool,
-    depth: usize,
-    pool: Option<&BTreeMap<String, Vec<ITerm>>>,
-) -> BTerm {
-    if depth > MAX_DEPTH {
-        // Give up: replace with True (weakening) and flag incompleteness.
-        *incomplete = true;
-        return BTerm::True;
-    }
-    match b {
-        BTerm::True | BTerm::False | BTerm::Atom(_, _, _) => b.clone(),
-        BTerm::And(x, y) => elim(x, fresh, incomplete, depth + 1, pool).and(elim(
-            y,
-            fresh,
-            incomplete,
-            depth + 1,
-            pool,
-        )),
-        BTerm::Or(x, y) => elim(x, fresh, incomplete, depth + 1, pool).or(elim(
-            y,
-            fresh,
-            incomplete,
-            depth + 1,
-            pool,
-        )),
-        BTerm::Not(inner) => elim(&nnf(inner, true), fresh, incomplete, depth + 1, pool),
-        BTerm::Implies(x, y) => elim(&nnf(x, true), fresh, incomplete, depth + 1, pool).or(elim(
-            y,
-            fresh,
-            incomplete,
-            depth + 1,
-            pool,
-        )),
-        BTerm::Exists(x, body) => {
-            let body = elim(body, fresh, incomplete, depth + 1, pool);
-            if let Some(result) = try_exact_exists(x, &body) {
-                return result;
-            }
-            // Skolemize.
-            let sk = fresh.fresh(&format!("sk_{x}"));
-            subst_formula(&body, x, &ITerm::Var(sk))
+/// One elimination pass: phase 1 without an instantiation pool, phase 2
+/// with one.
+struct Elim<'a> {
+    fresh: &'a mut FreshNames,
+    incomplete: &'a mut bool,
+    pool: Option<&'a BTreeMap<String, Vec<ITerm>>>,
+}
+
+impl Elim<'_> {
+    /// Rewrites `b`. `under_forall` says whether `b` sits under a ∀ of
+    /// the query that is still in place.
+    fn run(&mut self, b: &BTerm, depth: usize, under_forall: bool) -> BTerm {
+        if depth > MAX_DEPTH {
+            // Give up: replace with True (weakening) and flag incompleteness.
+            *self.incomplete = true;
+            return BTerm::True;
         }
-        BTerm::Forall(x, body) => {
-            let body = elim(body, fresh, incomplete, depth + 1, pool);
-            // ∀x.B ≡ ¬∃x.¬B — try the exact dual elimination.
-            let dual = nnf(&body, true);
-            if let Some(result) = try_exact_exists(x, &dual) {
-                return nnf(&result, true);
+        let depth = depth + 1;
+        match b {
+            BTerm::True | BTerm::False | BTerm::Atom(_, _, _) => b.clone(),
+            BTerm::And(x, y) => {
+                let x = self.run(x, depth, under_forall);
+                x.and(self.run(y, depth, under_forall))
             }
-            match pool {
-                // Phase 1: leave the ∀ pending for the pooled phase.
-                None => BTerm::Forall(x.clone(), Box::new(body)),
-                // Phase 2: weakening finite instantiation.
-                Some(pool) => {
-                    *incomplete = true;
-                    let candidates = instantiation_candidates(x, &body, pool);
-                    BTerm::conj(candidates.into_iter().map(|t| {
-                        let inst = subst_formula(&body, x, &t);
-                        elim(&inst, fresh, incomplete, depth + 1, Some(pool))
-                    }))
+            BTerm::Or(x, y) => {
+                let x = self.run(x, depth, under_forall);
+                x.or(self.run(y, depth, under_forall))
+            }
+            BTerm::Not(inner) => self.run(&nnf(inner, true), depth, under_forall),
+            BTerm::Implies(x, y) => {
+                let x = self.run(&nnf(x, true), depth, under_forall);
+                x.or(self.run(y, depth, under_forall))
+            }
+            BTerm::Exists(x, body) if !under_forall => {
+                // Skolemization is exact here: no ∀ variable is in scope
+                // for the witness to depend on.
+                let sk = ITerm::Var(self.fresh.fresh(&format!("sk_{x}")));
+                self.run(&subst_formula(body, x, &sk), depth, false)
+            }
+            BTerm::Exists(x, body) => {
+                let body = self.run(body, depth, true);
+                try_exact_exists(x, &body)
+                    .unwrap_or_else(|| BTerm::Exists(x.clone(), Box::new(body)))
+            }
+            BTerm::Forall(x, body) => {
+                let body = self.run(body, depth, true);
+                // ∀x.B ≡ ¬∃x.¬B — try the exact dual elimination.
+                let dual = nnf(&body, true);
+                if let Some(result) = try_exact_exists(x, &dual) {
+                    return nnf(&result, true);
+                }
+                match self.pool {
+                    // Phase 1: leave the ∀ pending for the pooled phase.
+                    None => BTerm::Forall(x.clone(), Box::new(body)),
+                    // Phase 2: weakening finite instantiation.
+                    Some(pool) => {
+                        *self.incomplete = true;
+                        let candidates = instantiation_candidates(x, &body, pool);
+                        BTerm::conj(candidates.into_iter().map(|t| {
+                            let inst = subst_formula(&body, x, &t);
+                            self.run(&inst, depth, under_forall)
+                        }))
+                    }
                 }
             }
         }
@@ -899,6 +947,36 @@ mod tests {
         let mut vars = BTreeSet::new();
         formula_vars(&out.formula, &mut vars);
         assert!(vars.iter().any(|v| v.starts_with("sk_x!")));
+    }
+
+    #[test]
+    fn outermost_exists_is_skolemized_without_dnf() {
+        // ∃x. y ≤ x ∧ x ≤ z: one constant replaces x, no bound pairing.
+        let z = ITerm::var("z");
+        let b = y().le(x()).and(x().le(z.clone())).exists("x");
+        let out = eliminate_quantifiers(&b, &mut FreshNames::new());
+        assert!(!out.incomplete);
+        let sk = ITerm::var("sk_x!0");
+        assert_eq!(out.formula, y().le(sk.clone()).and(sk.le(z)));
+    }
+
+    #[test]
+    fn unit_exists_under_forall_eliminates_exactly() {
+        // ∀y. ∃x. y ≤ x ∧ x ≤ z: both quantifiers go exactly.
+        let b = y()
+            .le(x())
+            .and(x().le(ITerm::var("z")))
+            .exists("x")
+            .forall("y");
+        let out = eliminate_quantifiers(&b, &mut FreshNames::new());
+        assert!(!out.incomplete);
+        assert!(is_quantifier_free(&out.formula));
+        let mut vars = BTreeSet::new();
+        formula_vars(&out.formula, &mut vars);
+        assert!(
+            vars.iter().all(|v| v == "z"),
+            "no skolem constant: {vars:?}"
+        );
     }
 
     #[test]

@@ -49,7 +49,17 @@ use crate::cnf::CnfBuilder;
 /// narrowing could wrap a large bound into a small one and prove invalid
 /// goals `Valid`, so verdicts stored by earlier versions must not be
 /// replayed.
-pub const SOLVER_VERSION: u32 = 5;
+///
+/// Version 6: an `∃` under no `∀` of the satisfiability query is
+/// skolemized at once instead of DNF-expanded, which changes the
+/// formulas the search sees, the work counters, and the countermodels of
+/// `Invalid` goals (they may now name `sk_…` constants). An `∃` under a
+/// `∀` that exact elimination cannot remove is no longer skolemized to
+/// one constant. That strengthened the query, so a satisfiable `∀∃`
+/// query could be refuted and the goal it negates proved `Valid`
+/// although invalid. Such an `∃` is now skolemized once per instance of
+/// its `∀`.
+pub const SOLVER_VERSION: u32 = 6;
 use crate::ground::groundify;
 use crate::linear::{BoundKind, IneqAtom, LinForm, VarId};
 use crate::preprocess::{eliminate_quantifiers, FreshNames};
@@ -278,26 +288,6 @@ impl Solver {
     /// The branch-and-bound node budget per final theory check.
     pub fn branch_budget(&self) -> u64 {
         self.branch_budget
-    }
-
-    /// Sets the CDCL conflict budget.
-    #[deprecated(
-        since = "0.6.0",
-        note = "budgets are fixed at construction: use `Solver::with_budgets` \
-                (mid-session budget mutation would break scope invariants)"
-    )]
-    pub fn set_max_conflicts(&mut self, max_conflicts: u64) {
-        self.max_conflicts = max_conflicts;
-    }
-
-    /// Sets the branch-and-bound node budget.
-    #[deprecated(
-        since = "0.6.0",
-        note = "budgets are fixed at construction: use `Solver::with_budgets` \
-                (mid-session budget mutation would break scope invariants)"
-    )]
-    pub fn set_branch_budget(&mut self, branch_budget: u64) {
-        self.branch_budget = branch_budget;
     }
 
     /// Opens an incremental session: a [`ScopedSolver`] with
@@ -936,17 +926,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_budget_setters_match_with_budgets() {
-        let mut shimmed = Solver::new();
-        shimmed.set_max_conflicts(123);
-        shimmed.set_branch_budget(45);
-        let direct = Solver::with_budgets(123, 45);
-        assert_eq!(shimmed.max_conflicts(), direct.max_conflicts());
-        assert_eq!(shimmed.branch_budget(), direct.branch_budget());
-    }
-
-    #[test]
     fn session_push_pop_isolates_assumptions() {
         let mut solver = Solver::new();
         let mut session = solver.session();
@@ -1068,10 +1047,9 @@ mod tests {
 
     #[test]
     fn exact_elimination_does_not_wrap_large_bounds() {
-        // (∃x. x ≤ C·C ∧ x ≥ y) ⇒ y ≠ 0 is refuted by y = 0. Narrowing the
-        // eliminated bound C·C to i64 would wrap it negative and prove it.
+        // (∃x. x ≤ C·C ∧ x ≥ y) ⇒ y ≠ 0 is refuted by y = 0.
         let hyp = x().le(square_past_i64()).and(x().ge(y())).exists("x");
-        let phi = hyp.implies(y().rel(Rel::Ne, ITerm::Const(0)));
+        let phi = hyp.clone().implies(y().rel(Rel::Ne, ITerm::Const(0)));
         match solver().check_valid(&phi) {
             Validity::Invalid(model) => {
                 let y = model.get("y").expect("y in the countermodel");
@@ -1079,6 +1057,15 @@ mod tests {
             }
             other => panic!("expected a countermodel, got {other:?}"),
         }
+        // Under a ∀ the ∃ goes to exact elimination. ∀y. 0 ≤ y ≤ 1 ⇒ hyp
+        // is true; narrowing the eliminated bound C·C to i64 would wrap it
+        // negative and refute it.
+        let s = ITerm::Const(0)
+            .le(y())
+            .and(y().le(ITerm::Const(1)))
+            .implies(hyp)
+            .forall("y");
+        assert!(!matches!(solver().check_sat(&s), SmtResult::Unsat));
     }
 
     #[test]
@@ -1093,6 +1080,51 @@ mod tests {
         let hyp = x().le(small).and(x().ge(y())).exists("x");
         let phi = hyp.implies(y().rel(Rel::Ne, ITerm::Const(0)));
         assert!(matches!(solver().check_valid(&phi), Validity::Invalid(_)));
+    }
+
+    /// `∀y. ∃x. (2x = y ∨ 2x = y + 1)`: true, since every `y` is even or odd.
+    fn every_int_is_even_or_odd() -> BTerm {
+        let two_x = ITerm::Const(2).mul(x());
+        two_x
+            .clone()
+            .eq_term(y())
+            .or(two_x.eq_term(y().add(ITerm::Const(1))))
+            .exists("x")
+            .forall("y")
+    }
+
+    #[test]
+    fn exists_under_forall_is_not_one_constant() {
+        // A single skolem constant for x would have to halve every y at
+        // once; the true sentence must not be refuted.
+        let s = every_int_is_even_or_odd();
+        assert!(!matches!(solver().check_sat(&s), SmtResult::Unsat));
+        assert!(!solver().check_valid(&s.not()).is_valid());
+    }
+
+    #[test]
+    fn exists_under_forall_is_skolemized_per_instance() {
+        // ∀y. 0 ≤ y ≤ 2 ⇒ ∃x. 2x = 2y is true. Instantiating y at 0, 1
+        // and 2 against one shared constant x would refute it.
+        let s = ITerm::Const(0)
+            .le(y())
+            .and(y().le(ITerm::Const(2)))
+            .implies(
+                ITerm::Const(2)
+                    .mul(x())
+                    .eq_term(ITerm::Const(2).mul(y()))
+                    .exists("x"),
+            )
+            .forall("y");
+        assert!(!matches!(solver().check_sat(&s), SmtResult::Unsat));
+        // A false ∀∃ sentence is still refuted through its instances:
+        // ∃x. 2x = 1 fails at y = 1.
+        let odd = ITerm::Const(0)
+            .le(y())
+            .and(y().le(ITerm::Const(2)))
+            .implies(ITerm::Const(2).mul(x()).eq_term(y()).exists("x"))
+            .forall("y");
+        assert_eq!(solver().check_sat(&odd), SmtResult::Unsat);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Differential tests: the DPLL(T) pipeline against brute-force
 //! enumeration on random quantifier-free linear formulas, exact
-//! quantifier elimination against enumeration of the bound variable, and
-//! the CDCL
-//! core — alone, with a theory consulted on complete assignments, and
-//! with a theory fed incrementally along the trail — against truth-table
-//! enumeration on random CNFs.
+//! quantifier elimination against enumeration of the bound variable,
+//! `∀∃`/`∃∀` alternation against enumeration of both bound variables, and
+//! the CDCL core — alone, with a theory consulted on complete
+//! assignments, and with a theory fed incrementally along the trail —
+//! against truth-table enumeration on random CNFs.
 //!
 //! These are the soundness anchors for the whole verification stack: if
 //! the solver ever disagrees with exhaustive enumeration on a bounded
@@ -326,6 +326,125 @@ fn quantifier_elimination_matches_brute_force() {
     assert!(
         checked >= 160 && checked_big >= 40,
         "only {checked} complete eliminations ({checked_big} with large constants)"
+    );
+}
+
+/// The range of the alternation oracle's `x`, the variable bound innermost
+/// by `∀y.∃x` and outermost by `∃x.∀y`.
+const ALT_X: std::ops::RangeInclusive<i64> = -6..=6;
+/// The range of its other bound variable `y`.
+const ALT_Y: std::ops::RangeInclusive<i64> = -3..=3;
+/// The range of its free variable `z`.
+const ALT_Z: std::ops::RangeInclusive<i64> = -2..=2;
+
+/// `c_x·x + c_y·y + c_z·z rel k`, each variable present two times in
+/// three, with `|c| ∈ {1, 2, 3}`: unit coefficients take the exact
+/// elimination paths, the others the fallbacks.
+fn gen_alt_atom(rng: &mut SplitMix64) -> BTerm {
+    let mut lhs = ITerm::Const(0);
+    for name in ["x", "y", "z"] {
+        if rng.gen_u32_below(3) > 0 {
+            let c = rng.gen_range(1..=3) * if rng.gen_bool() { 1 } else { -1 };
+            lhs = lhs.add(ITerm::Const(c).mul(ITerm::var(name)));
+        }
+    }
+    BTerm::Atom(gen_rel(rng), lhs, ITerm::Const(rng.gen_range(-4..=4)))
+}
+
+/// Random formulas φ(x, y, z) over [`gen_alt_atom`], depth ≤ 2.
+fn gen_alt_formula(rng: &mut SplitMix64, depth: u32) -> BTerm {
+    if depth == 0 || rng.gen_u32_below(3) == 0 {
+        return gen_alt_atom(rng);
+    }
+    let (a, b) = (
+        gen_alt_formula(rng, depth - 1),
+        gen_alt_formula(rng, depth - 1),
+    );
+    match rng.gen_u32_below(4) {
+        0 => BTerm::And(Box::new(a), Box::new(b)),
+        1 => BTerm::Or(Box::new(a), Box::new(b)),
+        2 => BTerm::Implies(Box::new(a), Box::new(b)),
+        _ => BTerm::Not(Box::new(a)),
+    }
+}
+
+/// `lo ≤ v ≤ hi` for the range `r`.
+fn in_range(v: &str, r: &std::ops::RangeInclusive<i64>) -> BTerm {
+    ITerm::var(v)
+        .ge(ITerm::Const(*r.start()))
+        .and(ITerm::var(v).le(ITerm::Const(*r.end())))
+}
+
+/// Quantifier alternation against enumeration: `∀y.∃x. φ` and `∃x.∀y. φ`,
+/// each bound variable boxed into its range and `z` boxed into [`ALT_Z`].
+/// `Unsat` must mean the sentence is false at every `z`, `Sat` must come
+/// with a `z` at which it is true. `Unknown` is allowed (a non-unit `∀`
+/// is instantiated finitely), but at least 40 rounds must be decided
+/// each way. An `∃`
+/// under a `∀` skolemized to one constant would make true `∀∃` sentences
+/// `Unsat`.
+#[test]
+fn quantifier_alternation_matches_brute_force() {
+    let mut rng = SplitMix64::seed_from_u64(0x5EED_0004);
+    let (mut sat, mut unsat, mut unknown) = (0, 0, 0);
+    for round in 0..240 {
+        let forall_exists = round % 2 == 0;
+        let phi = gen_alt_formula(&mut rng, 2);
+        let sentence = if forall_exists {
+            in_range("y", &ALT_Y)
+                .implies(in_range("x", &ALT_X).and(phi.clone()).exists("x"))
+                .forall("y")
+        } else {
+            in_range("x", &ALT_X)
+                .and(in_range("y", &ALT_Y).implies(phi.clone()).forall("y"))
+                .exists("x")
+        };
+        let holds_at = |z: i64| {
+            let at = |x: i64, y: i64| {
+                eval_formula(&phi, &|name: &str| {
+                    i128::from(match name {
+                        "x" => x,
+                        "y" => y,
+                        _ => z,
+                    })
+                })
+            };
+            if forall_exists {
+                ALT_Y
+                    .into_iter()
+                    .all(|y| ALT_X.into_iter().any(|x| at(x, y)))
+            } else {
+                ALT_X
+                    .into_iter()
+                    .any(|x| ALT_Y.into_iter().all(|y| at(x, y)))
+            }
+        };
+        let problem = sentence.clone().and(in_range("z", &ALT_Z));
+        match Solver::new().check_sat(&problem) {
+            SmtResult::Sat(model) => {
+                let z = model.get("z").expect("z in the model");
+                let z = i64::try_from(z).expect("z in its box");
+                assert!(
+                    holds_at(z),
+                    "round {round}: solver says sat at z = {z}, enumeration says false: \
+                     {sentence:?}"
+                );
+                sat += 1;
+            }
+            SmtResult::Unsat => {
+                let witness = ALT_Z.into_iter().find(|&z| holds_at(z));
+                assert_eq!(
+                    witness, None,
+                    "round {round}: solver says unsat, enumeration holds: {sentence:?}"
+                );
+                unsat += 1;
+            }
+            SmtResult::Unknown(_) => unknown += 1,
+        }
+    }
+    assert!(
+        sat >= 40 && unsat >= 40,
+        "{sat} sat / {unsat} unsat / {unknown} unknown"
     );
 }
 

@@ -230,7 +230,34 @@ fn ci() {
     );
     let _ = std::fs::remove_file(&shard_cache);
     ci_service();
+    ci_shard_faults();
     ci_relbench();
+}
+
+/// How many extra times the shard fault-tolerance step re-runs
+/// `killed_service_worker_loses_no_programs`, whose crash-retry path once
+/// failed about one run in six.
+const SHARD_FAULT_REPEATS: usize = 10;
+
+/// The shard fault-tolerance CI step's local mirror: the whole `shard`
+/// test suite in release mode, then [`SHARD_FAULT_REPEATS`] more runs of
+/// the daemon's crash-retry test.
+fn ci_shard_faults() {
+    let suite = [
+        "cargo",
+        "test",
+        "--release",
+        "-p",
+        "relaxed-bench",
+        "--test",
+        "shard",
+    ];
+    run_step(&suite, &[]);
+    let mut repeat = suite.to_vec();
+    repeat.extend(["killed_service_worker_loses_no_programs", "--", "--exact"]);
+    for _ in 0..SHARD_FAULT_REPEATS {
+        run_step(&repeat, &[]);
+    }
 }
 
 /// The relbench-oracle CI job's local mirror: the benchmark's own tests
@@ -725,7 +752,7 @@ fn main() {
         _ => {
             eprintln!("usage: cargo xtask <ci|verify|bench-json|bench-check>");
             eprintln!(
-                "  ci          fmt + clippy + build --release + doc + test (6 schedules) + examples + sharded/service corpus + edit-reverify + trace-smoke + relbench-oracle jobs + bench --no-run"
+                "  ci          fmt + clippy + build --release + doc + test (6 schedules) + examples + sharded/service corpus + shard fault suite + edit-reverify + trace-smoke + relbench-oracle jobs + bench --no-run"
             );
             eprintln!("  verify      the ROADMAP tier-1 gate: build --release && test -q");
             eprintln!(
